@@ -72,7 +72,10 @@ void PdmsEngine::SendAll(PeerId from, std::vector<Outgoing> messages) {
 void PdmsEngine::DispatchEnvelope(PeerId to, Envelope& envelope) {
   Peer& peer = *peers_[to];
   if (auto* probe = std::get_if<ProbeMessage>(&envelope.payload)) {
-    SendAll(to, peer.HandleProbe(*probe));
+    Status status;
+    std::vector<Outgoing> forwards = peer.HandleProbe(*probe, &status);
+    if (!status.ok()) LogRejection(status);
+    SendAll(to, std::move(forwards));
   } else if (auto* feedback =
                  std::get_if<FeedbackAnnouncement>(&envelope.payload)) {
     const Status status = peer.IngestFeedback(*feedback);
@@ -164,7 +167,10 @@ void PdmsEngine::DeliverRoundMessages() {
   round_batches_.resize(n);
   ForEachPeer([this](size_t p) {
     if (!IsLocalPeer(static_cast<PeerId>(p))) return;
-    std::vector<Envelope> batch = transport_->Drain(static_cast<PeerId>(p));
+    // Drain into the peer's own batch buffer: a mailbox that is wholly
+    // due swaps buffers with it, so steady rounds reuse both capacities.
+    std::vector<Envelope>& batch = round_batches_[p];
+    transport_->DrainInto(static_cast<PeerId>(p), &batch);
     bool peer_local = true;
     for (const Envelope& envelope : batch) {
       const MessageKind kind = KindOf(envelope.payload);
@@ -175,9 +181,8 @@ void PdmsEngine::DeliverRoundMessages() {
     }
     if (!peer_local) {
       // Probe / query traffic sends onward and touches shared query
-      // reports: preserve within-batch order and hand the whole batch to
-      // the serial phase below.
-      round_batches_[p] = std::move(batch);
+      // reports: preserve within-batch order and leave the whole batch
+      // to the serial phase below.
       return;
     }
     Peer& peer = *peers_[p];
@@ -192,6 +197,7 @@ void PdmsEngine::DeliverRoundMessages() {
         if (!status.ok()) LogRejection(status);
       }
     }
+    batch.clear();
   });
   for (PeerId p = 0; p < n; ++p) {
     for (Envelope& envelope : round_batches_[p]) {
@@ -246,34 +252,36 @@ RoundReport PdmsEngine::RunRound() {
     // peer-local: parallelize it. The actual sends stay in canonical peer
     // order so lossy transports draw their drop decisions in the same
     // sequence at every parallelism level (the determinism guarantee).
-    round_outgoing_.resize(n);
-    // Send in place (moving only the payloads) so each peer's collected
-    // vector keeps its capacity — the arena CollectOutgoingBeliefs
-    // refills next round.
-    const auto send_peer = [&](PeerId p) {
-      for (Outgoing& message : round_outgoing_[p]) {
+    // Send in place (moving only the payloads) so each collected vector
+    // keeps its capacity — the arena CollectOutgoingBeliefs refills next
+    // round.
+    const auto send_peer = [&](PeerId p, std::vector<Outgoing>& messages) {
+      for (Outgoing& message : messages) {
         const auto& bundle = std::get<BeliefMessage>(message.payload);
         report.belief_updates_sent += bundle.update_count();
         ++report.belief_envelopes_sent;
         transport_->Send(p, message.to, message.via,
                          std::move(message.payload));
       }
-      round_outgoing_[p].clear();
+      messages.clear();
     };
     if (UsePool()) {
+      round_outgoing_.resize(n);
       ForEachPeer([this](size_t p) {
         if (!IsLocalPeer(static_cast<PeerId>(p))) return;
         peers_[p]->CollectOutgoingBeliefs(&round_outgoing_[p]);
       });
-      for (PeerId p = 0; p < n; ++p) send_peer(p);
+      for (PeerId p = 0; p < n; ++p) send_peer(p, round_outgoing_[p]);
     } else {
-      // Inline mode: fuse collect and send per peer — identical send
-      // order, but the transport's wire-size accounting walks each bundle
-      // while it is still cache-hot from construction.
+      // Inline mode: fuse collect and send per peer through one shared
+      // arena — identical send order, but the transport's wire-size
+      // accounting walks each bundle while it is still cache-hot from
+      // construction.
+      round_outgoing_.resize(1);
       for (PeerId p = 0; p < n; ++p) {
         if (!IsLocalPeer(p)) continue;
-        peers_[p]->CollectOutgoingBeliefs(&round_outgoing_[p]);
-        send_peer(p);
+        peers_[p]->CollectOutgoingBeliefs(&round_outgoing_[0]);
+        send_peer(p, round_outgoing_[0]);
       }
     }
   }

@@ -74,6 +74,7 @@ Status Peer::AddMapping(EdgeId edge, SchemaMapping mapping) {
         StrFormat("edge %u does not start at peer %u", edge, id_));
   }
   mappings_.emplace(it, edge, std::move(mapping));
+  kernel_stale_ = true;
   return Status::Ok();
 }
 
@@ -82,6 +83,7 @@ void Peer::RemoveMapping(EdgeId edge) {
       mappings_.begin(), mappings_.end(), edge,
       [](const auto& entry, EdgeId e) { return entry.first < e; });
   if (it != mappings_.end() && it->first == edge) mappings_.erase(it);
+  kernel_stale_ = true;
 
   // Drop every replica referencing the edge, then rebuild the indexes,
   // recompact the SoA pools, and rebuild the per-variable slot lists and
@@ -244,6 +246,7 @@ void Peer::SetPrior(const MappingVarKey& var, double prior) {
   state.evidence_count = 0;
   state.evidence_sum = 0.0;
   state.has_evidence_acc = false;
+  kernel_stale_ = true;
 }
 
 double Peer::Prior(const MappingVarKey& var) const {
@@ -294,6 +297,7 @@ void Peer::UpdatePriorsFromPosteriors() {
         state.evidence_sum / static_cast<double>(state.evidence_count);
     state.has_explicit_prior = true;
   }
+  kernel_stale_ = true;
 }
 
 // --- Embedded message passing -------------------------------------------------
@@ -451,6 +455,7 @@ Status Peer::IngestFactor(const FactorId& id, const Closure& closure,
         index, pos);
   }
   AddReplicaToRoutes(index);
+  kernel_stale_ = true;
   return Status::Ok();
 }
 
@@ -866,32 +871,30 @@ double Peer::ComputeRound() {
   // adjacent factors at once via prefix/suffix products (O(deg) per
   // variable instead of O(deg²)). The full product also yields the new
   // posterior, so the convergence residual comes out of the same pass
-  // instead of a separate Posterior() sweep.
+  // instead of a separate Posterior() sweep. Reads only the flat kernel
+  // index and the message pools.
+  if (kernel_stale_) RebuildKernel();
   double max_change = 0.0;
-  for (VarState& var : vars_) {
-    const size_t k = var.slots.size();
-    if (k == 0) continue;
-    const Belief prior = Belief::FromProbability(Prior(var.key));
+  const uint32_t* slots = kernel_slots_.data();
+  for (const KernelVar& kernel : kernel_vars_) {
+    const size_t k = kernel.slot_count;
+    const Belief prior = Belief::FromProbability(kernel.prior);
     ExclusivePrefixSuffixProducts(
         k,
         [&](size_t j) -> const Belief& {
-          return factor_to_var_pool_[replica_hot_[var.slots[j].first].msg_base +
-                                     var.slots[j].second];
+          return factor_to_var_pool_[slots[j]];
         },
         &prefix_scratch_, &suffix_scratch_);
     for (size_t j = 0; j < k; ++j) {
-      const Belief message =
+      var_to_factor_pool_[slots[j]] =
           (prior * prefix_scratch_[j] * suffix_scratch_[j + 1]).Rescaled();
-      var_to_factor_pool_[replica_hot_[var.slots[j].first].msg_base +
-                          var.slots[j].second] = message;
     }
+    slots += k;
     // Convergence metric: posterior change over owned variables, with the
     // ⊥ rule applied exactly as in PosteriorBelief.
-    double now = (prior * prefix_scratch_[k]).Normalized().correct;
-    if (var.key.attribute != MappingVarKey::kWholeMapping) {
-      const SchemaMapping* m = mapping(var.key.edge);
-      if (m == nullptr || !m->Apply(var.key.attribute).has_value()) now = 0.0;
-    }
+    const double now =
+        kernel.bottom ? 0.0 : (prior * prefix_scratch_[k]).Normalized().correct;
+    VarState& var = vars_[kernel.var];
     if (var.has_last_posterior) {
       max_change = std::max(max_change, std::abs(now - var.last_posterior));
     } else {
@@ -919,6 +922,30 @@ double Peer::ComputeRound() {
   // the increment touches nothing else.
   ++round_;
   return max_change;
+}
+
+void Peer::RebuildKernel() {
+  kernel_vars_.clear();
+  kernel_slots_.clear();
+  for (uint32_t v = 0; v < vars_.size(); ++v) {
+    const VarState& var = vars_[v];
+    if (var.slots.empty()) continue;
+    bool bottom = false;
+    if (var.key.attribute != MappingVarKey::kWholeMapping) {
+      const SchemaMapping* m = mapping(var.key.edge);
+      bottom = m == nullptr || !m->Apply(var.key.attribute).has_value();
+    }
+    KernelVar kernel;
+    kernel.prior = Prior(var.key);
+    kernel.var = v;
+    kernel.slot_count = static_cast<uint32_t>(var.slots.size());
+    kernel.bottom = bottom ? 1 : 0;
+    kernel_vars_.push_back(kernel);
+    for (const auto& [replica, position] : var.slots) {
+      kernel_slots_.push_back(replica_hot_[replica].msg_base + position);
+    }
+  }
+  kernel_stale_ = false;
 }
 
 void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
@@ -1199,29 +1226,68 @@ void Peer::RestoreImage(Image&& image) {
   for (auto& [origin, probes] : image.probe_cache) {
     probe_cache_.emplace(origin, std::move(probes));
   }
+  kernel_stale_ = true;
 }
 
 // --- Probes & discovery --------------------------------------------------------
 
 std::vector<Outgoing> Peer::StartProbes() const {
   std::vector<Outgoing> out;
-  if (options_->probe_ttl == 0) return out;
+  // An attribute-less schema has no images to compare: nothing to probe.
+  const auto width = static_cast<uint32_t>(schema_.size());
+  if (options_->probe_ttl == 0 || width == 0) return out;
   for (const auto& [edge, mapping] : mappings_) {
     ProbeMessage probe;
     probe.origin = id_;
     probe.ttl = options_->probe_ttl - 1;
     probe.route = {edge};
-    std::vector<std::optional<AttributeId>> images(schema_.size());
-    for (AttributeId a = 0; a < schema_.size(); ++a) {
-      images[a] = mapping.Apply(a);
+    probe.width = width;
+    probe.trail.reserve(width);
+    for (AttributeId a = 0; a < width; ++a) {
+      probe.trail.push_back(mapping.Apply(a));
     }
-    probe.trail = {std::move(images)};
     Outgoing& outgoing = out.emplace_back();
     outgoing.to = graph_->edge(edge).dst;
     outgoing.via = edge;
     outgoing.payload = std::move(probe);
   }
   return out;
+}
+
+Status Peer::CheckProbe(const ProbeMessage& probe) const {
+  if (probe.route.empty()) {
+    return Status::InvalidArgument(StrFormat(
+        "probe from peer %u reached peer %u with an empty route",
+        probe.origin, id_));
+  }
+  if (probe.width == 0 ||
+      probe.trail.size() != probe.route.size() * probe.width) {
+    return Status::InvalidArgument(StrFormat(
+        "probe from peer %u carries %zu trail images for %zu hops of width %u",
+        probe.origin, probe.trail.size(), probe.route.size(), probe.width));
+  }
+  // The route must be a walk over this graph from the origin to here.
+  NodeId at = probe.origin;
+  for (EdgeId edge : probe.route) {
+    if (edge >= graph_->edge_capacity()) {
+      return Status::InvalidArgument(StrFormat(
+          "probe from peer %u names edge %u outside the graph (%zu edges)",
+          probe.origin, edge, graph_->edge_capacity()));
+    }
+    if (graph_->edge(edge).src != at) {
+      return Status::InvalidArgument(StrFormat(
+          "probe route from peer %u is not a walk: edge %u does not start at "
+          "peer %u",
+          probe.origin, edge, at));
+    }
+    at = graph_->edge(edge).dst;
+  }
+  if (at != id_) {
+    return Status::InvalidArgument(StrFormat(
+        "probe route from peer %u ends at peer %u, not at peer %u",
+        probe.origin, at, id_));
+  }
+  return Status::Ok();
 }
 
 std::vector<NodeId> Peer::RouteNodes(const std::vector<EdgeId>& route) const {
@@ -1251,21 +1317,21 @@ bool Peer::RoutesIndependent(const std::vector<EdgeId>& a,
 std::vector<AttributeFeedback> Peer::CycleFeedback(
     const ProbeMessage& probe) const {
   std::vector<AttributeFeedback> feedback;
-  const size_t attr_count = probe.trail.empty() ? 0 : probe.trail[0].size();
-  for (AttributeId a = 0; a < attr_count; ++a) {
+  const size_t hops = probe.route.size();
+  for (AttributeId a = 0; a < probe.width; ++a) {
     AttributeFeedback entry;
     entry.root_attribute = a;
     entry.members.push_back(MappingVarKey{probe.route[0], a});
     bool broken = false;
-    for (size_t hop = 1; hop < probe.route.size(); ++hop) {
-      const std::optional<AttributeId> image = probe.trail[hop - 1][a];
+    for (size_t hop = 1; hop < hops; ++hop) {
+      const std::optional<AttributeId> image = probe.Hop(hop - 1)[a];
       if (!image.has_value()) {
         broken = true;
         break;
       }
       entry.members.push_back(MappingVarKey{probe.route[hop], *image});
     }
-    const std::optional<AttributeId> final_image = probe.trail.back()[a];
+    const std::optional<AttributeId> final_image = probe.Hop(hops - 1)[a];
     if (broken || !final_image.has_value()) {
       entry.sign = FeedbackSign::kNeutral;
     } else {
@@ -1280,15 +1346,17 @@ std::vector<AttributeFeedback> Peer::CycleFeedback(
 std::vector<AttributeFeedback> Peer::ParallelFeedback(
     const ProbeMessage& first, const ProbeMessage& second) const {
   std::vector<AttributeFeedback> feedback;
-  const size_t attr_count = first.trail.empty() ? 0 : first.trail[0].size();
-  for (AttributeId a = 0; a < attr_count; ++a) {
+  // Same origin, so the same width; the minimum keeps a forged mismatch
+  // inside both trails.
+  const uint32_t width = std::min(first.width, second.width);
+  for (AttributeId a = 0; a < width; ++a) {
     AttributeFeedback entry;
     entry.root_attribute = a;
     bool broken = false;
     auto add_chain = [&](const ProbeMessage& probe) {
       entry.members.push_back(MappingVarKey{probe.route[0], a});
       for (size_t hop = 1; hop < probe.route.size(); ++hop) {
-        const std::optional<AttributeId> image = probe.trail[hop - 1][a];
+        const std::optional<AttributeId> image = probe.Hop(hop - 1)[a];
         if (!image.has_value()) {
           broken = true;
           return;
@@ -1298,8 +1366,10 @@ std::vector<AttributeFeedback> Peer::ParallelFeedback(
     };
     add_chain(first);
     add_chain(second);
-    const std::optional<AttributeId> image1 = first.trail.back()[a];
-    const std::optional<AttributeId> image2 = second.trail.back()[a];
+    const std::optional<AttributeId> image1 =
+        first.Hop(first.route.size() - 1)[a];
+    const std::optional<AttributeId> image2 =
+        second.Hop(second.route.size() - 1)[a];
     if (broken || !image1.has_value() || !image2.has_value()) {
       entry.sign = FeedbackSign::kNeutral;
     } else {
@@ -1347,8 +1417,14 @@ void Peer::AnnounceToOwners(const FeedbackAnnouncement& announcement,
   }
 }
 
-std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe) {
+std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
+                                        Status* status) {
   std::vector<Outgoing> out;
+  Status checked = CheckProbe(probe);
+  if (!checked.ok()) {
+    if (status != nullptr) *status = std::move(checked);
+    return out;
+  }
   const auto& limits = options_->closure_limits;
 
   if (probe.origin == id_) {
@@ -1425,6 +1501,7 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe) {
                                     limits.max_path_length);
   if (probe.ttl == 0 || probe.route.size() >= max_route) return out;
   const std::vector<NodeId> visited = RouteNodes(probe.route);
+  const size_t last_hop = probe.route.size() - 1;
   for (const auto& [edge, mapping] : mappings_) {
     const NodeId next = graph_->edge(edge).dst;
     // Simple routes: never revisit an interior node; returning to the
@@ -1433,15 +1510,20 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe) {
         std::find(visited.begin(), visited.end(), next) != visited.end()) {
       continue;
     }
-    ProbeMessage forwarded = probe;
+    // Built at its exact final size: one route and one trail allocation.
+    ProbeMessage forwarded;
+    forwarded.origin = probe.origin;
     forwarded.ttl = probe.ttl - 1;
+    forwarded.route.reserve(probe.route.size() + 1);
+    forwarded.route.assign(probe.route.begin(), probe.route.end());
     forwarded.route.push_back(edge);
-    std::vector<std::optional<AttributeId>> images(probe.trail.back().size());
-    for (size_t a = 0; a < images.size(); ++a) {
-      const std::optional<AttributeId> current = probe.trail.back()[a];
-      images[a] = current.has_value() ? mapping.Apply(*current) : std::nullopt;
+    forwarded.width = probe.width;
+    forwarded.trail.reserve(probe.trail.size() + probe.width);
+    forwarded.trail.assign(probe.trail.begin(), probe.trail.end());
+    for (const std::optional<AttributeId>& current : probe.Hop(last_hop)) {
+      forwarded.trail.push_back(current.has_value() ? mapping.Apply(*current)
+                                                    : std::nullopt);
     }
-    forwarded.trail.push_back(std::move(images));
     out.push_back(Outgoing{next, edge, std::move(forwarded)});
   }
   return out;

@@ -255,7 +255,12 @@ class Peer {
 
   /// Handles an arriving probe: may complete a cycle, detect parallel
   /// paths (announcing feedback to member owners), and forward the probe.
-  std::vector<Outgoing> HandleProbe(const ProbeMessage& probe);
+  /// A malformed probe — empty route, a trail that is not one `width`-wide
+  /// hop per route edge, or a route that is not a walk over this graph
+  /// from its origin to this peer — is rejected before anything reads it:
+  /// no messages, and the reason in `*status` when given.
+  std::vector<Outgoing> HandleProbe(const ProbeMessage& probe,
+                                    Status* status = nullptr);
 
   // --- Queries ----------------------------------------------------------------
 
@@ -322,14 +327,15 @@ class Peer {
   /// Everything this peer tracks about one mapping variable: explicit
   /// prior, EM evidence accumulator, previous-round posterior, and the
   /// (replica, member position) slots of every factor that scopes it.
+  /// The flags sit together so the struct packs into 72 bytes.
   struct VarState {
     MappingVarKey key;
     double prior = 0.5;
-    bool has_explicit_prior = false;
     uint64_t evidence_count = 0;
     double evidence_sum = 0.0;
-    bool has_evidence_acc = false;
     double last_posterior = 0.0;
+    bool has_explicit_prior = false;
+    bool has_evidence_acc = false;
     bool has_last_posterior = false;
     std::vector<std::pair<uint32_t, uint32_t>> slots;
   };
@@ -471,6 +477,9 @@ class Peer {
   /// ∆ used by this peer when announcing feedback.
   double EffectiveDelta() const;
 
+  /// Ok when `probe` is well-formed for this peer (see `HandleProbe`).
+  Status CheckProbe(const ProbeMessage& probe) const;
+
   /// Per-attribute feedback for a closed cycle probe.
   std::vector<AttributeFeedback> CycleFeedback(const ProbeMessage& probe) const;
 
@@ -604,6 +613,33 @@ class Peer {
   /// Indexes of `vars_` entries per mapping edge, ascending (lazy-schedule
   /// piggybacking looks variables up by edge, not by full key).
   std::unordered_map<EdgeId, std::vector<uint32_t>> edge_vars_;
+
+  /// Round kernel: the variable -> factor half of `ComputeRound` reads
+  /// only these flat arrays, with no `var_index_` hash, `mapping()` search
+  /// or `replica_hot_` chase per variable. One entry per variable with at
+  /// least one slot, in `vars_` order (the residual's reduction order).
+  /// Derived state, never captured: every mutation of slots, mappings or
+  /// priors (`IngestFactor`, `AddMapping`/`RemoveMapping`, `SetPrior`,
+  /// `UpdatePriorsFromPosteriors`, `RestoreImage`) marks it stale, and the
+  /// next round rebuilds it.
+  struct KernelVar {
+    /// Resolved prior P(correct): explicit, else the default prior.
+    double prior = 0.5;
+    /// Index into `vars_`.
+    uint32_t var = 0;
+    /// Number of slots; each entry's flat message-pool indexes follow the
+    /// previous entry's in `kernel_slots_`.
+    uint32_t slot_count : 31 = 0;
+    /// ⊥ rule: the mapping has no image for the attribute, so the
+    /// posterior is pinned to 0 (see `PosteriorBelief`).
+    uint32_t bottom : 1 = 0;
+  };
+  std::vector<KernelVar> kernel_vars_;
+  std::vector<uint32_t> kernel_slots_;
+  bool kernel_stale_ = true;
+
+  /// Rebuilds `kernel_vars_` / `kernel_slots_` from the peer's state.
+  void RebuildKernel();
 
   /// Round scratch (prefix/suffix message products), reused across rounds.
   std::vector<Belief> prefix_scratch_;

@@ -91,10 +91,11 @@ void EncodeProbe(const ProbeMessage& probe, Sink& sink) {
   PutFixed32(sink, probe.ttl);
   PutVarint(sink, probe.route.size());
   for (EdgeId edge : probe.route) PutFixed32(sink, edge);
-  PutVarint(sink, probe.trail.size());
-  for (const auto& hop : probe.trail) {
-    PutVarint(sink, hop.size());
-    for (const std::optional<AttributeId>& attr : hop) {
+  const size_t hops = probe.hops();
+  PutVarint(sink, hops);
+  for (size_t h = 0; h < hops; ++h) {
+    PutVarint(sink, probe.width);
+    for (const std::optional<AttributeId>& attr : probe.Hop(h)) {
       PutFixed32(sink, attr ? *attr : kNullAttributeWire);
     }
   }
@@ -356,19 +357,43 @@ Status DecodeProbe(Reader& reader, ProbeMessage* probe) {
   }
   size_t hop_count = 0;
   PDMS_RETURN_IF_ERROR(reader.ReadCount(1, &hop_count, "probe trail"));
-  probe->trail.resize(hop_count);
-  for (auto& hop : probe->trail) {
+  // Structure the handlers index by: one hop per route edge, every hop
+  // the same non-zero width (the origin's schema size).
+  if (hop_count != route_count) {
+    return Status::InvalidArgument(
+        StrFormat("probe trail has %zu hops for a route of %zu edges",
+                  hop_count, route_count));
+  }
+  probe->width = 0;
+  probe->trail.clear();
+  for (size_t h = 0; h < hop_count; ++h) {
     size_t attr_count = 0;
     PDMS_RETURN_IF_ERROR(reader.ReadCount(4, &attr_count, "probe trail hop"));
-    hop.resize(attr_count);
-    for (std::optional<AttributeId>& attr : hop) {
+    if (h == 0) {
+      if (attr_count == 0) {
+        return Status::InvalidArgument("probe trail hop carries no images");
+      }
+      // Every hop repeats this width, so the whole trail must fit in the
+      // input before anything is reserved for it.
+      if (attr_count > reader.remaining() / (4 * hop_count)) {
+        return Status::InvalidArgument(StrFormat(
+            "probe trail of %zu hops x %zu images exceeds the %zu remaining "
+            "input bytes",
+            hop_count, attr_count, reader.remaining()));
+      }
+      probe->width = static_cast<uint32_t>(attr_count);
+      probe->trail.reserve(hop_count * attr_count);
+    } else if (attr_count != probe->width) {
+      return Status::InvalidArgument(
+          StrFormat("probe trail hop %zu has %zu images, hop 0 has %u", h,
+                    attr_count, probe->width));
+    }
+    for (size_t a = 0; a < attr_count; ++a) {
       uint32_t raw = 0;
       PDMS_RETURN_IF_ERROR(reader.ReadFixed32(&raw));
-      if (raw == kNullAttributeWire) {
-        attr = std::nullopt;
-      } else {
-        attr = raw;
-      }
+      probe->trail.push_back(raw == kNullAttributeWire
+                                 ? std::nullopt
+                                 : std::optional<AttributeId>(raw));
     }
   }
   return Status::Ok();

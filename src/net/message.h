@@ -180,14 +180,33 @@ struct AliasLink {
 /// The probe carries the transitive closure of the mapping operations it
 /// traversed: for every attribute of the origin's schema, its current
 /// image (or ⊥), plus the full per-hop trail so feedback factors can name
-/// the (edge, attribute) variable at each hop.
+/// the (edge, attribute) variable at each hop. The trail is one flat
+/// hop-major array of `width` images per hop — one allocation per probe,
+/// however many hops it has travelled. A well-formed probe has a
+/// non-empty route, `width >= 1` and exactly one hop per route edge
+/// (`trail.size() == route.size() * width`); the codec rejects wire
+/// probes whose hop count or hop widths disagree, and `Peer::HandleProbe`
+/// rejects the rest. On the wire a trail is a hop count, then each hop
+/// as its width and images.
 struct ProbeMessage {
   PeerId origin = 0;
   uint32_t ttl = 0;
   /// Mapping edges traversed, in order.
   std::vector<EdgeId> route;
-  /// trail[h][a] = image of origin attribute `a` after h+1 hops.
-  std::vector<std::vector<std::optional<AttributeId>>> trail;
+  /// Images per hop: the size of the origin's schema.
+  uint32_t width = 0;
+  /// trail[h * width + a] = image of origin attribute `a` after h+1 hops.
+  std::vector<std::optional<AttributeId>> trail;
+
+  /// Hops recorded in the trail.
+  size_t hops() const { return width == 0 ? 0 : trail.size() / width; }
+  /// The `width` images after hop `h` (0-based; h < hops()).
+  std::span<const std::optional<AttributeId>> Hop(size_t h) const {
+    return {trail.data() + h * width, width};
+  }
+  std::span<std::optional<AttributeId>> Hop(size_t h) {
+    return {trail.data() + h * width, width};
+  }
 };
 
 /// Feedback for one (closure, root attribute): the observed sign and the

@@ -1,12 +1,9 @@
 #ifndef PDMS_NET_NETWORK_H_
 #define PDMS_NET_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
 #include "net/message.h"
 #include "pdms/transport.h"
@@ -34,57 +31,30 @@ struct NetworkOptions {
 /// `Transport` implementation.
 ///
 /// Thread-safe per the `Transport` contract: mailboxes are sharded per
-/// destination peer behind their own mutexes, so concurrent sends to
-/// different peers never contend. Loss draws come from one seeded stream
-/// guarded by its own mutex (taken only when loss is actually configured):
-/// with a serial send order — which the engine guarantees regardless of its
-/// compute parallelism — drops and deliveries are identical for the same
-/// seed and send sequence.
-class SimTransport final : public Transport {
+/// destination peer behind their own mutexes (see `MailboxTransport`), so
+/// concurrent sends to different peers never contend. Loss draws come
+/// from one seeded stream guarded by its own mutex (taken only when loss
+/// is actually configured): with a serial send order — which the engine
+/// guarantees regardless of its compute parallelism — drops and
+/// deliveries are identical for the same seed and send sequence.
+class SimTransport final : public MailboxTransport {
  public:
   SimTransport(size_t peer_count, const NetworkOptions& options)
-      : options_(options), rng_(options.seed), mailboxes_(peer_count) {}
+      : MailboxTransport(peer_count), options_(options), rng_(options.seed) {}
 
   std::string_view name() const override { return "sim"; }
-  size_t peer_count() const override { return mailboxes_.size(); }
-  uint64_t now() const override {
-    return now_.load(std::memory_order_relaxed);
-  }
-  void AdvanceTick() override {
-    now_.fetch_add(1, std::memory_order_relaxed);
-  }
 
-  /// Enqueues a message; may drop it per `send_probability`.
+  /// Enqueues a message for delivery `delay_ticks` from now; may drop it
+  /// per `send_probability`.
   void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
             Payload payload) override;
-
-  /// Removes and returns all messages deliverable to `peer` at the current
-  /// tick (deliver_at <= now).
-  std::vector<Envelope> Drain(PeerId peer) override;
-
-  /// True if any queue still holds messages (delivered or future).
-  bool HasPendingMessages() const override;
-
-  const TransportStats& stats() const override;
-  void ResetStats() override;
 
   const NetworkOptions& options() const { return options_; }
 
  private:
-  struct Mailbox {
-    std::mutex mutex;
-    std::deque<Envelope> queue;
-  };
-
   NetworkOptions options_;
   std::mutex rng_mutex_;
   Rng rng_;  // guarded by rng_mutex_
-  std::atomic<uint64_t> now_{0};
-  /// Messages enqueued and not yet drained; O(1) HasPendingMessages.
-  std::atomic<uint64_t> in_flight_{0};
-  std::vector<Mailbox> mailboxes_;
-  AtomicTransportStats counters_;
-  mutable TransportStats stats_snapshot_;
 };
 
 }  // namespace pdms

@@ -1,6 +1,8 @@
 #include "pdms/transport.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -66,16 +68,15 @@ void AtomicTransportStats::Reset() {
   frames_dropped_at_shutdown.store(0, std::memory_order_relaxed);
 }
 
-void InstantTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
-                            Payload payload) {
+void MailboxTransport::Enqueue(PeerId from, PeerId to,
+                               std::optional<EdgeId> via, uint64_t deliver_at,
+                               Payload payload) {
   assert(to < mailboxes_.size());
-  const WireBreakdown wire = PayloadWireBreakdown(payload);
-  counters_.CountSent(KindOf(payload), wire);
   Envelope envelope;
   envelope.from = from;
   envelope.to = to;
   envelope.via = via;
-  envelope.deliver_at = now();
+  envelope.deliver_at = deliver_at;
   envelope.payload = std::move(payload);
   // Count before enqueueing: a concurrent Drain may pop the envelope the
   // moment the lock is released, and its decrement must never observe the
@@ -88,29 +89,64 @@ void InstantTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
   }
 }
 
-std::vector<Envelope> InstantTransport::Drain(PeerId peer) {
-  assert(peer < mailboxes_.size());
+std::vector<Envelope> MailboxTransport::Drain(PeerId peer) {
   std::vector<Envelope> due;
-  {
-    std::lock_guard<std::mutex> lock(mailboxes_[peer].mutex);
-    due.swap(mailboxes_[peer].queue);
-  }
-  for (const Envelope& envelope : due) {
-    counters_.CountDelivered(KindOf(envelope.payload));
-  }
-  in_flight_.fetch_sub(due.size(), std::memory_order_release);
+  DrainInto(peer, &due);
   return due;
 }
 
-bool InstantTransport::HasPendingMessages() const {
+void MailboxTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
+  assert(peer < mailboxes_.size());
+  out->clear();
+  const uint64_t current = now();
+  {
+    std::lock_guard<std::mutex> lock(mailboxes_[peer].mutex);
+    std::vector<Envelope>& queue = mailboxes_[peer].queue;
+    if (queue.empty()) return;
+    if (queue.back().deliver_at <= current) {
+      // Everything is due: hand the queue over and keep the caller's
+      // (cleared) buffer as the mailbox's capacity — topped up to what
+      // was just delivered, so a caller that drains into fresh vectors
+      // does not make every later Send regrow the queue.
+      out->swap(queue);
+      if (queue.capacity() < out->size()) queue.reserve(out->size());
+    } else {
+      const auto split = std::partition_point(
+          queue.begin(), queue.end(),
+          [current](const Envelope& e) { return e.deliver_at <= current; });
+      if (split == queue.begin()) return;
+      out->assign(std::make_move_iterator(queue.begin()),
+                  std::make_move_iterator(split));
+      queue.erase(queue.begin(), split);
+    }
+  }
+  std::array<uint64_t, kMessageKindCount> delivered{};
+  for (const Envelope& envelope : *out) {
+    ++delivered[static_cast<size_t>(KindOf(envelope.payload))];
+  }
+  for (size_t k = 0; k < kMessageKindCount; ++k) {
+    if (delivered[k] != 0) {
+      counters_.CountDelivered(static_cast<MessageKind>(k), delivered[k]);
+    }
+  }
+  in_flight_.fetch_sub(out->size(), std::memory_order_release);
+}
+
+bool MailboxTransport::HasPendingMessages() const {
   return in_flight_.load(std::memory_order_acquire) > 0;
 }
 
-const TransportStats& InstantTransport::stats() const {
+const TransportStats& MailboxTransport::stats() const {
   counters_.SnapshotTo(&stats_snapshot_);
   return stats_snapshot_;
 }
 
-void InstantTransport::ResetStats() { counters_.Reset(); }
+void MailboxTransport::ResetStats() { counters_.Reset(); }
+
+void InstantTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+                            Payload payload) {
+  counters_.CountSent(KindOf(payload), PayloadWireBreakdown(payload));
+  Enqueue(from, to, via, now(), std::move(payload));
+}
 
 }  // namespace pdms

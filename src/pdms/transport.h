@@ -88,8 +88,9 @@ struct AtomicTransportStats {
   void CountDropped(MessageKind kind) {
     dropped[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
   }
-  void CountDelivered(MessageKind kind) {
-    delivered[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
+  void CountDelivered(MessageKind kind, uint64_t count = 1) {
+    delivered[static_cast<size_t>(kind)].fetch_add(count,
+                                                   std::memory_order_relaxed);
   }
 
   /// Relaxed snapshot into `out`; exact when the transport is quiescent.
@@ -129,9 +130,9 @@ struct CapturedFrame {
 ///
 /// Thread-safety contract (required since round execution went parallel):
 ///  * `Send` may be called concurrently from any number of threads.
-///  * `Drain` may be called concurrently for *distinct* peers, and
-///    concurrently with `Send` (a concurrently sent message lands either in
-///    this drain or a later one, never nowhere).
+///  * `Drain`/`DrainInto` may be called concurrently for *distinct*
+///    peers, and concurrently with `Send` (a concurrently sent message
+///    lands either in this drain or a later one, never nowhere).
 ///  * `AdvanceTick`, `stats()` and `ResetStats` are driver-side: callers
 ///    must not overlap them with `Send`/`Drain`. The engine only invokes
 ///    them between parallel phases.
@@ -156,6 +157,15 @@ class Transport {
   /// Removes and returns all messages deliverable to `peer` now.
   virtual std::vector<Envelope> Drain(PeerId peer) = 0;
 
+  /// `Drain` into a caller-owned buffer: replaces `*out` with the
+  /// envelopes deliverable to `peer` now. A transport may keep `*out`'s
+  /// previous buffer (its contents discarded) as mailbox capacity, so a
+  /// caller that drains every round into the same buffer moves messages
+  /// without reallocating. The default forwards to `Drain`.
+  virtual void DrainInto(PeerId peer, std::vector<Envelope>* out) {
+    *out = Drain(peer);
+  }
+
   /// True if any queue still holds messages (deliverable or future).
   virtual bool HasPendingMessages() const = 0;
 
@@ -163,21 +173,22 @@ class Transport {
   virtual void ResetStats() = 0;
 };
 
-/// Zero-delay, lossless in-process transport: a message sent at tick t is
-/// deliverable at tick t. No configuration, no randomness — the fastest
-/// substrate for convergence-only workloads (discovery and inference need
-/// no tick-per-hop waiting) and the reference implementation for the
-/// Transport conformance contract.
+/// Internal: the per-destination mailboxes behind the library's
+/// in-process transports (`SimTransport`, `InstantTransport`), which only
+/// differ in how `Send` stamps delivery ticks and drops messages.
 ///
-/// Mailboxes are sharded per destination peer, each behind its own mutex,
-/// so concurrent sends to different peers never contend and concurrent
-/// drains of distinct peers proceed independently.
-class InstantTransport final : public Transport {
+/// Mailboxes are sharded per destination peer, each a vector behind its
+/// own mutex, so concurrent sends to different peers never contend and
+/// concurrent drains of distinct peers proceed independently. Envelopes
+/// are stamped with non-decreasing delivery ticks (the tick only moves
+/// between phases and the delay is constant), so each queue is ordered by
+/// `deliver_at` and the due envelopes are always a prefix. When the whole
+/// queue is due — every round of a one-tick schedule — a drain swaps the
+/// queue with the caller's buffer instead of moving envelopes one by one,
+/// and `DrainInto` leaves the caller's old buffer behind as the next
+/// round's capacity. Draining an empty mailbox touches no counter.
+class MailboxTransport : public Transport {
  public:
-  explicit InstantTransport(size_t peer_count)
-      : mailboxes_(peer_count) {}
-
-  std::string_view name() const override { return "instant"; }
   size_t peer_count() const override { return mailboxes_.size(); }
   uint64_t now() const override {
     return now_.load(std::memory_order_relaxed);
@@ -186,13 +197,28 @@ class InstantTransport final : public Transport {
     now_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
-            Payload payload) override;
+  /// Removes and returns the envelopes deliverable to `peer` at the
+  /// current tick (deliver_at <= now), in send order. A fully due
+  /// mailbox hands its buffer over and reserves a new one as large as
+  /// the batch it just delivered.
   std::vector<Envelope> Drain(PeerId peer) override;
+  void DrainInto(PeerId peer, std::vector<Envelope>* out) override;
+
+  /// True if any queue still holds messages (deliverable or future).
   bool HasPendingMessages() const override;
 
   const TransportStats& stats() const override;
   void ResetStats() override;
+
+ protected:
+  explicit MailboxTransport(size_t peer_count) : mailboxes_(peer_count) {}
+
+  /// Appends an envelope to `to`'s mailbox (send accounting is the
+  /// caller's: it alone knows whether the message was dropped).
+  void Enqueue(PeerId from, PeerId to, std::optional<EdgeId> via,
+               uint64_t deliver_at, Payload payload);
+
+  AtomicTransportStats counters_;
 
  private:
   struct Mailbox {
@@ -204,8 +230,23 @@ class InstantTransport final : public Transport {
   /// Messages enqueued and not yet drained; O(1) HasPendingMessages.
   std::atomic<uint64_t> in_flight_{0};
   std::vector<Mailbox> mailboxes_;
-  AtomicTransportStats counters_;
   mutable TransportStats stats_snapshot_;
+};
+
+/// Zero-delay, lossless in-process transport: a message sent at tick t is
+/// deliverable at tick t. No configuration, no randomness — the fastest
+/// substrate for convergence-only workloads (discovery and inference need
+/// no tick-per-hop waiting) and the reference implementation for the
+/// Transport conformance contract.
+class InstantTransport final : public MailboxTransport {
+ public:
+  explicit InstantTransport(size_t peer_count)
+      : MailboxTransport(peer_count) {}
+
+  std::string_view name() const override { return "instant"; }
+
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override;
 };
 
 }  // namespace pdms

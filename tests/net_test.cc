@@ -342,6 +342,97 @@ TEST(SimTransportTest, StatsCountPerKind) {
   EXPECT_NE(network.stats().ToString().find("belief"), std::string::npos);
 }
 
+/// Every counter of `actual` equals `expected`.
+void ExpectSameStats(const TransportStats& actual,
+                     const TransportStats& expected) {
+  EXPECT_EQ(actual.sent, expected.sent);
+  EXPECT_EQ(actual.dropped, expected.dropped);
+  EXPECT_EQ(actual.delivered, expected.delivered);
+  EXPECT_EQ(actual.bytes_sent, expected.bytes_sent);
+  EXPECT_EQ(actual.key_bytes_sent, expected.key_bytes_sent);
+  EXPECT_EQ(actual.alias_bytes_sent, expected.alias_bytes_sent);
+  EXPECT_EQ(actual.value_bytes_sent, expected.value_bytes_sent);
+  EXPECT_EQ(actual.header_bytes_sent, expected.header_bytes_sent);
+}
+
+TEST(SimTransportTest, MailboxDrainsTheDuePrefixInFifoOrder) {
+  NetworkOptions options;
+  options.delay_ticks = 3;
+  SimTransport network(3, options);
+  const auto probe = [](PeerId tag) {
+    ProbeMessage message;
+    message.origin = tag;
+    return Payload{message};
+  };
+  const auto tag_of = [](const Envelope& envelope) {
+    return std::get<ProbeMessage>(envelope.payload).origin;
+  };
+  constexpr size_t kProbe = static_cast<size_t>(MessageKind::kProbe);
+  constexpr size_t kQuery = static_cast<size_t>(MessageKind::kQuery);
+
+  // Tick 0: two senders into peer 1 and one into peer 2 (due at tick 3).
+  network.Send(0, 1, std::nullopt, probe(10));
+  network.Send(2, 1, std::nullopt, probe(11));
+  network.Send(0, 2, std::nullopt, probe(20));
+  network.AdvanceTick();
+  // Tick 1: more for peer 1, due at tick 4 — the same mailbox now holds
+  // envelopes of two delivery ticks.
+  network.Send(0, 1, std::nullopt, probe(12));
+  QueryMessage query;
+  query.query_id = 13;
+  network.Send(2, 1, std::nullopt, query);
+  const TransportStats sent = network.stats();
+
+  // Ticks 1 and 2: nothing is due; draining moves no counter.
+  for (int tick = 1; tick <= 2; ++tick) {
+    std::vector<Envelope> out(1);  // stale contents are discarded
+    network.DrainInto(1, &out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(network.Drain(2).empty());
+    EXPECT_TRUE(network.Drain(0).empty());
+    ExpectSameStats(network.stats(), sent);
+    EXPECT_TRUE(network.HasPendingMessages());
+    network.AdvanceTick();
+  }
+
+  // Tick 3: a partial drain — the tick-0 prefix, in send order.
+  std::vector<Envelope> due;
+  network.DrainInto(1, &due);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(tag_of(due[0]), 10u);
+  EXPECT_EQ(due[0].from, 0u);
+  EXPECT_EQ(tag_of(due[1]), 11u);
+  EXPECT_EQ(due[1].from, 2u);
+  EXPECT_EQ(network.stats().delivered[kProbe], 2u);
+  EXPECT_EQ(network.stats().delivered[kQuery], 0u);
+  EXPECT_TRUE(network.HasPendingMessages());
+  const auto other = network.Drain(2);
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_EQ(tag_of(other[0]), 20u);
+  EXPECT_EQ(network.stats().delivered[kProbe], 3u);
+  EXPECT_TRUE(network.HasPendingMessages());  // peer 1's tick-1 envelopes
+
+  // Tick 4: the rest of peer 1's mailbox, still in send order.
+  network.AdvanceTick();
+  network.DrainInto(1, &due);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(tag_of(due[0]), 12u);
+  EXPECT_EQ(std::get<QueryMessage>(due[1].payload).query_id, 13u);
+  EXPECT_EQ(network.stats().delivered[kProbe], 4u);
+  EXPECT_EQ(network.stats().delivered[kQuery], 1u);
+  EXPECT_FALSE(network.HasPendingMessages());
+
+  // Draining empty mailboxes leaves every counter as it was.
+  const TransportStats drained = network.stats();
+  network.DrainInto(1, &due);
+  EXPECT_TRUE(due.empty());
+  for (PeerId peer = 0; peer < 3; ++peer) {
+    EXPECT_TRUE(network.Drain(peer).empty());
+  }
+  ExpectSameStats(network.stats(), drained);
+  EXPECT_FALSE(network.HasPendingMessages());
+}
+
 // --- Wire codec ---------------------------------------------------------------
 
 std::vector<uint8_t> Encoded(const Payload& payload) {
@@ -385,9 +476,10 @@ ProbeMessage MakeRichProbe() {
   probe.origin = 3;
   probe.ttl = 5;
   probe.route = {2, 7, 300};
-  probe.trail.resize(2);
-  probe.trail[0] = {AttributeId{1}, std::nullopt, AttributeId{4}};
-  probe.trail[1] = {std::nullopt, AttributeId{0}, std::nullopt};
+  probe.width = 3;
+  probe.trail = {AttributeId{1}, std::nullopt, AttributeId{4},
+                 std::nullopt,   AttributeId{0}, std::nullopt,
+                 AttributeId{2}, std::nullopt, std::nullopt};
   return probe;
 }
 
@@ -520,6 +612,63 @@ TEST(CodecTest, RejectsCountsLargerThanTheInput) {
   auto belief = RawVarints({0, 0, 0, 1, 0, 1u << 16});
   EXPECT_EQ(DecodePayload(MessageKind::kBelief, belief).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The wire body of a probe over `route` whose trail has one hop per
+/// entry of `hop_widths`, each that many (zero) images wide.
+std::vector<uint8_t> ProbeBytes(const std::vector<uint32_t>& route,
+                                const std::vector<uint64_t>& hop_widths) {
+  std::vector<uint8_t> bytes(8, 0x00);  // origin + ttl
+  const auto append_varint = [&](uint64_t value) {
+    const auto encoded = RawVarints({value});
+    bytes.insert(bytes.end(), encoded.begin(), encoded.end());
+  };
+  const auto append_fixed32 = [&](uint32_t value) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<uint8_t>(value >> shift));
+    }
+  };
+  append_varint(route.size());
+  for (uint32_t edge : route) append_fixed32(edge);
+  append_varint(hop_widths.size());
+  for (uint64_t width : hop_widths) {
+    append_varint(width);
+    for (uint64_t a = 0; a < width; ++a) append_fixed32(0);
+  }
+  return bytes;
+}
+
+TEST(CodecTest, RejectsProbesWhoseTrailDoesNotMatchTheRoute) {
+  // Well-formed: one hop of equal width per route edge.
+  const auto valid =
+      DecodePayload(MessageKind::kProbe, ProbeBytes({2, 7}, {3, 3}));
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  const auto& probe = std::get<ProbeMessage>(*valid);
+  EXPECT_EQ(probe.hops(), 2u);
+  EXPECT_EQ(probe.width, 3u);
+
+  const auto code = [](const std::vector<uint8_t>& bytes) {
+    return DecodePayload(MessageKind::kProbe, bytes).status().code();
+  };
+  EXPECT_EQ(code(ProbeBytes({2, 7}, {3})), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(ProbeBytes({2}, {3, 3})), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(ProbeBytes({2, 7}, {3, 2})), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(ProbeBytes({2, 7}, {2, 3})), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(ProbeBytes({2}, {0})), StatusCode::kInvalidArgument);
+
+  // Two hops promised, only the first one's images present: refused by
+  // the size check before the trail is reserved.
+  std::vector<uint8_t> short_trail = ProbeBytes({2, 7}, {3, 3});
+  short_trail.resize(short_trail.size() - 13);  // drop hop 2 entirely
+  EXPECT_FALSE(DecodePayload(MessageKind::kProbe, short_trail).ok());
+
+  // An in-memory probe whose trail disagrees with its route encodes to
+  // bytes the decoder refuses.
+  ProbeMessage mismatched;
+  mismatched.route = {1, 2};
+  mismatched.width = 2;
+  mismatched.trail = {AttributeId{0}, std::nullopt};
+  EXPECT_EQ(code(Encoded(Payload{mismatched})), StatusCode::kInvalidArgument);
 }
 
 BeliefMessage MakeQuantized(uint32_t bits) {

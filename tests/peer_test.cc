@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
 
@@ -561,11 +562,11 @@ TEST_F(PeerTest, StartProbesCarryMappingImages) {
     EXPECT_EQ(probe.origin, 1u);
     EXPECT_EQ(probe.ttl, options_.probe_ttl - 1);
     ASSERT_EQ(probe.route.size(), 1u);
-    ASSERT_EQ(probe.trail.size(), 1u);
-    ASSERT_EQ(probe.trail[0].size(), kAttrs);
+    ASSERT_EQ(probe.hops(), 1u);
+    ASSERT_EQ(probe.width, kAttrs);
     // Identity mappings: every image equals the source attribute.
     for (AttributeId a = 0; a < kAttrs; ++a) {
-      EXPECT_EQ(probe.trail[0][a], std::optional<AttributeId>(a));
+      EXPECT_EQ(probe.Hop(0)[a], std::optional<AttributeId>(a));
     }
   }
 }
@@ -575,7 +576,8 @@ TEST_F(PeerTest, HandleProbeForwardsWithDecrementedTtl) {
   probe.origin = 0;
   probe.ttl = 3;
   probe.route = {edges_.m12};
-  probe.trail = {std::vector<std::optional<AttributeId>>(kAttrs, 1)};
+  probe.width = kAttrs;
+  probe.trail.assign(kAttrs, 1);
   const auto actions = peers_[1]->HandleProbe(probe);
   // p2 forwards through m23 and m24 (origin p1 not revisited).
   ASSERT_EQ(actions.size(), 2u);
@@ -583,7 +585,7 @@ TEST_F(PeerTest, HandleProbeForwardsWithDecrementedTtl) {
     const auto& forwarded = std::get<ProbeMessage>(message.payload);
     EXPECT_EQ(forwarded.ttl, 2u);
     EXPECT_EQ(forwarded.route.size(), 2u);
-    EXPECT_EQ(forwarded.trail.size(), 2u);
+    EXPECT_EQ(forwarded.hops(), 2u);
   }
 }
 
@@ -592,7 +594,8 @@ TEST_F(PeerTest, HandleProbeStopsAtTtlZero) {
   probe.origin = 0;
   probe.ttl = 0;
   probe.route = {edges_.m12};
-  probe.trail = {std::vector<std::optional<AttributeId>>(kAttrs, 0)};
+  probe.width = kAttrs;
+  probe.trail.assign(kAttrs, 0);
   EXPECT_TRUE(peers_[1]->HandleProbe(probe).empty());
 }
 
@@ -603,8 +606,9 @@ TEST_F(PeerTest, CycleAnnouncedOnlyByMinimumPeer) {
   probe.origin = 1;
   probe.ttl = 2;
   probe.route = {edges_.m23, edges_.m34, edges_.m41, edges_.m12};
-  probe.trail.assign(4, std::vector<std::optional<AttributeId>>(kAttrs, 0));
-  for (AttributeId a = 0; a < kAttrs; ++a) probe.trail[3][a] = a;
+  probe.width = kAttrs;
+  probe.trail.assign(4 * kAttrs, 0);
+  for (AttributeId a = 0; a < kAttrs; ++a) probe.Hop(3)[a] = a;
   EXPECT_TRUE(peers_[1]->HandleProbe(probe).empty());
 
   // The same physical cycle closing at p1 (the minimum) is announced to
@@ -613,8 +617,9 @@ TEST_F(PeerTest, CycleAnnouncedOnlyByMinimumPeer) {
   canonical.origin = 0;
   canonical.ttl = 2;
   canonical.route = {edges_.m12, edges_.m23, edges_.m34, edges_.m41};
-  canonical.trail.assign(4, std::vector<std::optional<AttributeId>>(kAttrs, 0));
-  for (AttributeId a = 0; a < kAttrs; ++a) canonical.trail[3][a] = a;
+  canonical.width = kAttrs;
+  canonical.trail.assign(4 * kAttrs, 0);
+  for (AttributeId a = 0; a < kAttrs; ++a) canonical.Hop(3)[a] = a;
   const auto actions = peers_[0]->HandleProbe(canonical);
   ASSERT_EQ(actions.size(), 4u);
   for (const Outgoing& message : actions) {
@@ -628,11 +633,12 @@ TEST_F(PeerTest, BrokenChainYieldsNeutralFeedback) {
   probe.origin = 0;
   probe.ttl = 2;
   probe.route = {edges_.m12, edges_.m23, edges_.m34, edges_.m41};
-  probe.trail.assign(4, std::vector<std::optional<AttributeId>>(kAttrs, 0));
+  probe.width = kAttrs;
+  probe.trail.assign(4 * kAttrs, 0);
   for (AttributeId a = 0; a < kAttrs; ++a) {
-    probe.trail[3][a] = a;  // cycle closes on the identity
+    probe.Hop(3)[a] = a;  // cycle closes on the identity
   }
-  probe.trail[1][1] = std::nullopt;  // ⊥ at hop 2 for attribute 1
+  probe.Hop(1)[1] = std::nullopt;  // ⊥ at hop 2 for attribute 1
   const auto actions = peers_[0]->HandleProbe(probe);
   ASSERT_FALSE(actions.empty());
   const auto& announcement =
@@ -640,6 +646,201 @@ TEST_F(PeerTest, BrokenChainYieldsNeutralFeedback) {
   ASSERT_EQ(announcement.feedback.size(), kAttrs);
   EXPECT_EQ(announcement.feedback[1].sign, FeedbackSign::kNeutral);
   EXPECT_EQ(announcement.feedback[0].sign, FeedbackSign::kPositive);
+}
+
+/// A well-formed probe for `route` (edges of the example graph), arriving
+/// at the route's last peer, with every image 0.
+ProbeMessage WellFormedProbe(PeerId origin, std::vector<EdgeId> route) {
+  ProbeMessage probe;
+  probe.origin = origin;
+  probe.ttl = 2;
+  probe.route = std::move(route);
+  probe.width = kAttrs;
+  probe.trail.assign(probe.route.size() * kAttrs, 0);
+  return probe;
+}
+
+TEST_F(PeerTest, HandleProbeRejectsMalformedProbesWithStatus) {
+  // Baseline: the well-formed probe p1 -> p2 is forwarded with an ok status.
+  const ProbeMessage valid = WellFormedProbe(0, {edges_.m12});
+  Status status;
+  EXPECT_EQ(peers_[1]->HandleProbe(valid, &status).size(), 2u);
+  EXPECT_TRUE(status.ok()) << status;
+
+  const auto expect_rejected = [&](const ProbeMessage& probe, PeerId at,
+                                   const char* what) {
+    Status rejected;
+    EXPECT_TRUE(peers_[at]->HandleProbe(probe, &rejected).empty()) << what;
+    EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument) << what;
+    // Without a status sink the probe is still dropped, not read.
+    EXPECT_TRUE(peers_[at]->HandleProbe(probe).empty()) << what;
+  };
+
+  ProbeMessage empty_route = valid;
+  empty_route.route.clear();
+  empty_route.trail.clear();
+  expect_rejected(empty_route, 1, "empty route");
+
+  ProbeMessage short_trail = WellFormedProbe(0, {edges_.m12, edges_.m23});
+  short_trail.trail.resize(kAttrs);  // one hop for two edges
+  expect_rejected(short_trail, 2, "trail hops != route edges");
+
+  ProbeMessage ragged = valid;
+  ragged.trail.push_back(0);  // not a whole number of hops
+  expect_rejected(ragged, 1, "partial trail hop");
+
+  ProbeMessage zero_width = valid;
+  zero_width.width = 0;
+  zero_width.trail.clear();
+  expect_rejected(zero_width, 1, "zero-width trail");
+
+  ProbeMessage outside = valid;
+  outside.route = {static_cast<EdgeId>(graph_.edge_capacity() + 7)};
+  expect_rejected(outside, 1, "edge outside the graph");
+
+  ProbeMessage not_a_walk = WellFormedProbe(0, {edges_.m12, edges_.m34});
+  expect_rejected(not_a_walk, 3, "route is not a walk");
+
+  ProbeMessage wrong_origin = WellFormedProbe(2, {edges_.m12});
+  expect_rejected(wrong_origin, 1, "route does not start at the origin");
+
+  ProbeMessage elsewhere = valid;  // ends at p2, delivered to p3
+  expect_rejected(elsewhere, 2, "route does not end here");
+
+  // A malformed probe closing at its origin announces nothing either.
+  ProbeMessage cycle = WellFormedProbe(
+      0, {edges_.m12, edges_.m23, edges_.m34, edges_.m41});
+  cycle.trail.resize(3 * kAttrs);
+  expect_rejected(cycle, 0, "closed cycle with a short trail");
+}
+
+/// The bits of `x`, so equality below is bitwise (and NaN-safe).
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// A cycle announcement over `edges` rooted at `source`, with feedback on
+/// every attribute (identity images, signs alternating by attribute).
+FeedbackAnnouncement CycleAnnouncement(const std::vector<EdgeId>& edges,
+                                       PeerId source) {
+  FeedbackAnnouncement announcement;
+  announcement.closure.kind = Closure::Kind::kCycle;
+  announcement.closure.edges = edges;
+  announcement.closure.split = edges.size();
+  announcement.closure.source = source;
+  announcement.closure.sink = source;
+  announcement.delta = 0.1;
+  for (AttributeId a = 0; a < kAttrs; ++a) {
+    AttributeFeedback feedback;
+    feedback.root_attribute = a;
+    feedback.sign =
+        a % 2 == 0 ? FeedbackSign::kPositive : FeedbackSign::kNegative;
+    for (EdgeId e : edges) feedback.members.push_back(MappingVarKey{e, a});
+    announcement.feedback.push_back(feedback);
+  }
+  return announcement;
+}
+
+/// Two rounds on `peer` against a fresh peer restored from its capture —
+/// whose round kernel is necessarily built from scratch — must agree
+/// bitwise on the residual, the posteriors and every outgoing value.
+void ExpectRoundsMatchFreshPeer(Peer& peer, const Digraph& graph,
+                                const EngineOptions& options,
+                                const std::vector<MappingVarKey>& vars) {
+  Peer fresh(peer.id(), peer.schema(), &graph, &options);
+  fresh.RestoreImage(peer.CaptureImage());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(Bits(peer.ComputeRound()), Bits(fresh.ComputeRound()));
+    for (const MappingVarKey& var : vars) {
+      EXPECT_EQ(Bits(peer.Posterior(var)), Bits(fresh.Posterior(var)))
+          << var.ToString();
+    }
+    const std::vector<Outgoing> sent = peer.CollectOutgoingBeliefs();
+    const std::vector<Outgoing> expected = fresh.CollectOutgoingBeliefs();
+    ASSERT_EQ(sent.size(), expected.size());
+    for (size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(sent[i].to, expected[i].to);
+      const auto& got = std::get<BeliefMessage>(sent[i].payload);
+      const auto& want = std::get<BeliefMessage>(expected[i].payload);
+      ASSERT_EQ(got.entries.size(), want.entries.size());
+      for (size_t j = 0; j < got.entries.size(); ++j) {
+        EXPECT_EQ(got.entries[j].position, want.entries[j].position);
+        EXPECT_EQ(Bits(got.entries[j].belief.correct),
+                  Bits(want.entries[j].belief.correct));
+        EXPECT_EQ(Bits(got.entries[j].belief.incorrect),
+                  Bits(want.entries[j].belief.incorrect));
+      }
+    }
+  }
+}
+
+TEST_F(PeerTest, RoundKernelTracksEveryMutationOfSlotsMappingsAndPriors) {
+  // p2 owns m23 (in the 4-cycle f1) and m24 (in the 3-cycle f2). f1 is
+  // ingested first, so removing m23 later shifts f2's pool offsets.
+  Peer& peer = *peers_[1];
+  const std::vector<EdgeId> f1 = {edges_.m12, edges_.m23, edges_.m34,
+                                  edges_.m41};
+  const std::vector<EdgeId> f2 = {edges_.m12, edges_.m24, edges_.m41};
+  ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f1, 0)).ok());
+  ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f2, 0)).ok());
+  std::vector<MappingVarKey> vars;
+  for (AttributeId a = 0; a < kAttrs; ++a) {
+    vars.push_back(MappingVarKey{edges_.m23, a});
+    vars.push_back(MappingVarKey{edges_.m24, a});
+  }
+  // Foreign evidence, so the factor messages are not symmetric.
+  const auto absorb_remote = [&](double p) {
+    for (AttributeId a = 0; a < kAttrs; ++a) {
+      peer.AbsorbBeliefUpdate(BeliefUpdate{
+          FactorId::Make(CycleAnnouncement(f1, 0).closure, a), 0,
+          Belief::FromProbability(p)});
+      peer.AbsorbBeliefUpdate(BeliefUpdate{
+          FactorId::Make(CycleAnnouncement(f2, 0).closure, a), 2,
+          Belief::FromProbability(1.0 - p)});
+    }
+  };
+  absorb_remote(0.8);
+  for (int round = 0; round < 3; ++round) peer.ComputeRound();
+  const Peer::Image earlier = peer.CaptureImage();
+  const SchemaMapping m23 = *peer.mapping(edges_.m23);
+  ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+
+  {
+    SCOPED_TRACE("SetPrior");
+    peer.SetPrior(MappingVarKey{edges_.m23, 0}, 0.9);
+    peer.SetPrior(MappingVarKey{edges_.m24, 1}, 0.2);
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+  }
+  {
+    SCOPED_TRACE("UpdatePriorsFromPosteriors");
+    peer.UpdatePriorsFromPosteriors();
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+  }
+  {
+    SCOPED_TRACE("RemoveMapping");
+    peer.RemoveMapping(edges_.m23);  // drops f1, compacts f2's slots
+    absorb_remote(0.3);
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+  }
+  {
+    // m23 is unmapped now, so its variables rejoin the kernel under the
+    // ⊥ rule (posterior pinned to 0).
+    SCOPED_TRACE("late IngestFeedback");
+    ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f1, 0)).ok());
+    absorb_remote(0.6);
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+    EXPECT_EQ(peer.Posterior(MappingVarKey{edges_.m23, 0}), 0.0);
+  }
+  {
+    SCOPED_TRACE("AddMapping");  // flips m23's ⊥ flags back off
+    ASSERT_TRUE(peer.AddMapping(edges_.m23, m23).ok());
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+    EXPECT_GT(peer.Posterior(MappingVarKey{edges_.m23, 0}), 0.0);
+  }
+  {
+    SCOPED_TRACE("RestoreImage");
+    peer.RestoreImage(earlier);
+    ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+  }
 }
 
 TEST_F(PeerTest, UpdatePriorsOnlyTouchesVariablesWithEvidence) {

@@ -83,7 +83,8 @@ NodeSnapshot MakeSnapshot(Pdms& pdms) {
   message.origin = 1;
   message.ttl = 3;
   message.route = {1, 2};
-  message.trail = {{AttributeId{0}, std::nullopt}, {std::nullopt, AttributeId{4}}};
+  message.width = 2;
+  message.trail = {AttributeId{0}, std::nullopt, std::nullopt, AttributeId{4}};
   probe.envelope.payload = message;
   snapshot.inbox.push_back(probe);
 
