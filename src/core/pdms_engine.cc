@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <unordered_set>
 
@@ -87,33 +88,36 @@ void PdmsEngine::DispatchEnvelope(PeerId to, Envelope& envelope) {
     for (const BeliefUpdate& update : query->piggyback) {
       peer.AbsorbBeliefUpdate(update);
     }
-    const bool first_visit = !peer.SawQuery(query->query_id);
     QueryActions actions = peer.ProcessQuery(
         *query, options_.schedule == ScheduleKind::kLazy);
-    const auto report_it = active_queries_.find(query->query_id);
-    QueryReport* report =
-        report_it == active_queries_.end() ? nullptr : report_it->second;
-    if (report != nullptr && first_visit) {
-      report->reached.push_back(to);
+    // Ids below the batch's first wrap to a huge index: not ours.
+    const uint64_t index = query->query_id - active_first_id_;
+    if (actions.first_visit && index < active_reports_.size()) {
+      QueryReport& report = active_reports_[index];
+      report.reached.push_back(to);
       for (ResultRow& row : actions.rows) {
-        report->rows.emplace_back(to, std::move(row));
+        report.rows.emplace_back(to, std::move(row));
       }
       for (const Outgoing& forward : actions.forwards) {
         if (forward.via.has_value()) {
-          report->used_edges.push_back(*forward.via);
+          report.used_edges.push_back(*forward.via);
         }
       }
       for (EdgeId blocked : actions.blocked_edges) {
-        report->blocked_edges.push_back(blocked);
+        report.blocked_edges.push_back(blocked);
       }
-      report->messages += actions.forwards.size();
+      report.messages += actions.forwards.size();
     }
     SendAll(to, std::move(actions.forwards));
   }
 }
 
 void PdmsEngine::DeliverAll() {
-  for (PeerId p = 0; p < peers_.size(); ++p) {
+  // Ascending, re-asking after every peer: mail a dispatch sends to a
+  // higher peer is still found in this pass, exactly as a full scan would.
+  const auto n = static_cast<PeerId>(peers_.size());
+  for (PeerId p = transport_->NextPeerWithMail(0); p < n;
+       p = transport_->NextPeerWithMail(p + 1)) {
     if (!IsLocalPeer(p)) continue;
     for (Envelope& envelope : transport_->Drain(p)) {
       DispatchEnvelope(p, envelope);
@@ -332,14 +336,14 @@ QueryReport PdmsEngine::IssueQuery(PeerId origin, const Query& query,
 std::vector<QueryReport> PdmsEngine::IssueQueries(
     std::span<const QueryRequest> requests) {
   std::vector<QueryReport> reports(requests.size());
-  active_queries_.clear();
+  active_first_id_ = next_query_id_;
+  active_reports_ = reports;
   for (size_t i = 0; i < requests.size(); ++i) {
     QueryMessage message;
     message.query_id = next_query_id_++;
     message.origin = requests[i].origin;
     message.ttl = requests[i].ttl;
     message.query = requests[i].query;
-    active_queries_[message.query_id] = &reports[i];
     transport_->Send(requests[i].origin, requests[i].origin, std::nullopt,
                      std::move(message));
     ++reports[i].messages;
@@ -348,7 +352,14 @@ std::vector<QueryReport> PdmsEngine::IssueQueries(
     transport_->AdvanceTick();
     DeliverAll();
   }
-  active_queries_.clear();
+  active_reports_ = {};
+  // Quiesced: no copy of these ids can arrive again, so every peer that
+  // processed one (exactly the `reached` lists) forgets it.
+  for (size_t i = 0; i < reports.size(); ++i) {
+    for (PeerId p : reports[i].reached) {
+      peers_[p]->ForgetQuery(active_first_id_ + i);
+    }
+  }
   return reports;
 }
 

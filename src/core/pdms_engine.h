@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -218,8 +217,9 @@ class PdmsEngine {
   PdmsEngine(Digraph graph, EngineOptions options,
              std::unique_ptr<Transport> transport);
 
-  /// Delivers due messages to every peer, dispatching by payload type.
-  /// Query rows/blocks are accumulated into `active_queries_` entries.
+  /// Delivers due messages to every peer holding mail (in ascending peer
+  /// order), dispatching by payload type. Query rows/blocks are
+  /// accumulated into `active_reports_` entries.
   void DeliverAll();
 
   /// Round-path delivery: drains all peers up front (in parallel when a
@@ -261,9 +261,10 @@ class PdmsEngine {
   /// Round-execution workers (parallelism − 1 threads; null when serial).
   std::unique_ptr<ThreadPool> pool_;
   uint64_t next_query_id_ = 1;
-  /// Per-query report accumulators, keyed by query id; populated while
-  /// IssueQueries drives the network.
-  std::map<uint64_t, QueryReport*> active_queries_;
+  /// Per-query report accumulators while IssueQueries drives the network:
+  /// query id `active_first_id_ + i` reports into `active_reports_[i]`.
+  std::span<QueryReport> active_reports_;
+  uint64_t active_first_id_ = 0;
   /// Rejections logged so far (the `LogRejection` rate limit).
   std::atomic<uint64_t> rejection_logs_{0};
   /// Round scratch, reused to keep the round path allocation-stable.

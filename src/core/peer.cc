@@ -270,8 +270,14 @@ Belief Peer::PosteriorBelief(const MappingVarKey& var) const {
       return Belief{0.0, 1.0};
     }
   }
-  Belief posterior = Belief::FromProbability(Prior(var));
-  if (const VarState* state = FindVar(var)) {
+  return PosteriorOf(FindVar(var));
+}
+
+Belief Peer::PosteriorOf(const VarState* state) const {
+  Belief posterior = Belief::FromProbability(
+      state != nullptr && state->has_explicit_prior ? state->prior
+                                                    : options_->default_prior);
+  if (state != nullptr) {
     for (const auto& [replica, position] : state->slots) {
       posterior *= factor_to_var_pool_[replica_hot_[replica].msg_base + position];
     }
@@ -1531,25 +1537,33 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
 
 // --- Queries --------------------------------------------------------------------
 
-bool Peer::GateAllows(EdgeId edge, AttributeId attribute) const {
-  const SchemaMapping* m = mapping(edge);
-  if (m == nullptr || !m->Apply(attribute).has_value()) return false;
+bool Peer::GateAllows(EdgeId edge, const SchemaMapping& mapping,
+                      AttributeId attribute) const {
+  // The ⊥ check here is the one `PosteriorBelief` would repeat for a
+  // per-attribute variable, so the posterior comes straight from the
+  // variable's state: one hash lookup per (edge, attribute).
+  if (!mapping.Apply(attribute).has_value()) return false;
   const MappingVarKey var =
       options_->granularity == Granularity::kCoarse
           ? MappingVarKey{edge, MappingVarKey::kWholeMapping}
           : MappingVarKey{edge, attribute};
-  if (!HasEvidence(var)) return options_->forward_without_evidence;
-  return Posterior(var) > options_->theta;
+  const VarState* state = FindVar(var);
+  if (state == nullptr || state->slots.empty()) {
+    return options_->forward_without_evidence;
+  }
+  return PosteriorOf(state).correct > options_->theta;
 }
 
 QueryActions Peer::ProcessQuery(const QueryMessage& message,
                                 bool piggyback_beliefs) {
   QueryActions actions;
   if (!seen_queries_.insert(message.query_id).second) return actions;
+  actions.first_visit = true;
 
   actions.rows = store_.Execute(message.query);
 
   if (message.ttl == 0) return actions;
+  const std::vector<AttributeId> attributes = message.query.Attributes();
   for (const auto& [edge, mapping] : mappings_) {
     const NodeId next = graph_->edge(edge).dst;
     if (std::find(message.visited.begin(), message.visited.end(), next) !=
@@ -1557,8 +1571,8 @@ QueryActions Peer::ProcessQuery(const QueryMessage& message,
       continue;
     }
     bool allowed = true;
-    for (AttributeId attribute : message.query.Attributes()) {
-      if (!GateAllows(edge, attribute)) {
+    for (AttributeId attribute : attributes) {
+      if (!GateAllows(edge, mapping, attribute)) {
         allowed = false;
         break;
       }

@@ -33,6 +33,9 @@ struct QueryActions {
   std::vector<Outgoing> forwards;
   /// Mapping links the θ-gate blocked.
   std::vector<EdgeId> blocked_edges;
+  /// False when the peer had already processed this query id (a duplicate
+  /// arrival: no rows, no forwards).
+  bool first_visit = false;
 };
 
 // --- Adaptive value-precision tiers --------------------------------------------
@@ -276,6 +279,12 @@ class Peer {
     return seen_queries_.count(query_id) > 0;
   }
 
+  /// Drops `query_id` from the dedup set. Only safe once the query's
+  /// traffic has quiesced (no copy of it can still arrive); the engine
+  /// calls it for every peer a finished batch reached, which keeps the set
+  /// bounded by the queries in flight.
+  void ForgetQuery(uint64_t query_id) { seen_queries_.erase(query_id); }
+
   // --- Durable state ------------------------------------------------------------
 
   /// One replicated feedback factor (Section 4.1 local factor graph) —
@@ -411,7 +420,9 @@ class Peer {
     /// rebuilt `var_index_` / `edge_vars_` iterate identically.
     std::vector<VarState> vars;
     std::vector<FactorId> announced;       ///< sorted
-    std::vector<uint64_t> seen_queries;    ///< sorted
+    /// Sorted. Empty at every capture the engine makes: it forgets a
+    /// batch's ids once the batch quiesces (see `ForgetQuery`).
+    std::vector<uint64_t> seen_queries;
     /// Sorted by origin; each origin's probes in arrival order.
     std::vector<std::pair<PeerId, std::vector<ProbeMessage>>> probe_cache;
   };
@@ -502,9 +513,15 @@ class Peer {
   bool RoutesIndependent(const std::vector<EdgeId>& a,
                          const std::vector<EdgeId>& b) const;
 
-  /// The θ-gate for a query attribute over one mapping (see
-  /// EngineOptions::forward_without_evidence).
-  bool GateAllows(EdgeId edge, AttributeId attribute) const;
+  /// The θ-gate for a query attribute over this peer's `mapping` for
+  /// `edge` (see EngineOptions::forward_without_evidence).
+  bool GateAllows(EdgeId edge, const SchemaMapping& mapping,
+                  AttributeId attribute) const;
+
+  /// Normalized posterior of a variable from its state (null: no state,
+  /// so the default prior alone), without the ⊥ rule — the product
+  /// `PosteriorBelief` and `GateAllows` share, multiplied in slot order.
+  Belief PosteriorOf(const VarState* state) const;
 
   PeerId id_;
   Schema schema_;

@@ -206,8 +206,17 @@ class FaultInjectingTransport final : public Transport {
   void AdvanceTick() override;
   void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
             Payload payload) override;
+  // Held (delayed or reordered) envelopes are not drainable yet, so the
+  // inner transport alone decides what a drain returns and which peers
+  // hold mail; they re-enter it through `Send`/`AdvanceTick`.
   std::vector<Envelope> Drain(PeerId peer) override {
     return inner_->Drain(peer);
+  }
+  void DrainInto(PeerId peer, std::vector<Envelope>* out) override {
+    inner_->DrainInto(peer, out);
+  }
+  PeerId NextPeerWithMail(PeerId from) const override {
+    return inner_->NextPeerWithMail(from);
   }
   bool HasPendingMessages() const override;
   const TransportStats& stats() const override { return inner_->stats(); }

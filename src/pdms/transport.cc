@@ -1,6 +1,7 @@
 #include "pdms/transport.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <iterator>
 
@@ -78,14 +79,14 @@ void MailboxTransport::Enqueue(PeerId from, PeerId to,
   envelope.via = via;
   envelope.deliver_at = deliver_at;
   envelope.payload = std::move(payload);
-  // Count before enqueueing: a concurrent Drain may pop the envelope the
-  // moment the lock is released, and its decrement must never observe the
-  // counter without this increment (transient underflow would make
-  // HasPendingMessages report phantom traffic on an empty transport).
-  in_flight_.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mailboxes_[to].mutex);
-    mailboxes_[to].queue.push_back(std::move(envelope));
+    std::vector<Envelope>& queue = mailboxes_[to].queue;
+    if (queue.empty()) {
+      mail_bits_[to / 64].fetch_or(uint64_t{1} << (to % 64),
+                                   std::memory_order_release);
+    }
+    queue.push_back(std::move(envelope));
   }
 }
 
@@ -110,6 +111,8 @@ void MailboxTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
       // does not make every later Send regrow the queue.
       out->swap(queue);
       if (queue.capacity() < out->size()) queue.reserve(out->size());
+      mail_bits_[peer / 64].fetch_and(~(uint64_t{1} << (peer % 64)),
+                                      std::memory_order_release);
     } else {
       const auto split = std::partition_point(
           queue.begin(), queue.end(),
@@ -129,11 +132,21 @@ void MailboxTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
       counters_.CountDelivered(static_cast<MessageKind>(k), delivered[k]);
     }
   }
-  in_flight_.fetch_sub(out->size(), std::memory_order_release);
 }
 
 bool MailboxTransport::HasPendingMessages() const {
-  return in_flight_.load(std::memory_order_acquire) > 0;
+  return NextPeerWithMail(0) < peer_count();
+}
+
+PeerId MailboxTransport::NextPeerWithMail(PeerId from) const {
+  for (size_t word = from / 64; word < mail_bits_.size(); ++word) {
+    uint64_t bits = mail_bits_[word].load(std::memory_order_acquire);
+    if (word == from / 64) bits &= ~uint64_t{0} << (from % 64);
+    if (bits != 0) {
+      return static_cast<PeerId>(word * 64 + std::countr_zero(bits));
+    }
+  }
+  return static_cast<PeerId>(peer_count());
 }
 
 const TransportStats& MailboxTransport::stats() const {

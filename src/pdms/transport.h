@@ -133,9 +133,9 @@ struct CapturedFrame {
 ///  * `Drain`/`DrainInto` may be called concurrently for *distinct*
 ///    peers, and concurrently with `Send` (a concurrently sent message
 ///    lands either in this drain or a later one, never nowhere).
-///  * `AdvanceTick`, `stats()` and `ResetStats` are driver-side: callers
-///    must not overlap them with `Send`/`Drain`. The engine only invokes
-///    them between parallel phases.
+///  * `AdvanceTick`, `NextPeerWithMail`, `stats()` and `ResetStats` are
+///    driver-side: callers must not overlap them with `Send`/`Drain`. The
+///    engine only invokes them between parallel phases.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -169,6 +169,15 @@ class Transport {
   /// True if any queue still holds messages (deliverable or future).
   virtual bool HasPendingMessages() const = 0;
 
+  /// The smallest peer >= `from` whose queue may hold messages, or any
+  /// value >= `peer_count()` when none does. Lets a driver that drains
+  /// peers in ascending order skip the empty mailboxes: it may only skip
+  /// peers whose queue is empty, never one holding a message (deliverable
+  /// or future). The default returns `from` — "maybe" for every peer — so
+  /// a transport that does not track its mailboxes keeps the every-peer
+  /// scan.
+  virtual PeerId NextPeerWithMail(PeerId from) const { return from; }
+
   virtual const TransportStats& stats() const = 0;
   virtual void ResetStats() = 0;
 };
@@ -187,6 +196,13 @@ class Transport {
 /// queue with the caller's buffer instead of moving envelopes one by one,
 /// and `DrainInto` leaves the caller's old buffer behind as the next
 /// round's capacity. Draining an empty mailbox touches no counter.
+///
+/// One bit per peer, in atomic 64-bit words, is set while that peer's
+/// mailbox is non-empty: `Enqueue` sets it on the empty -> non-empty
+/// transition and a drain that empties the queue clears it, both under the
+/// mailbox's lock. `NextPeerWithMail` finds the next set bit, so a query
+/// tick costs the mailboxes holding mail, not the network size, and
+/// `HasPendingMessages` is "any bit set" — no per-message counter.
 class MailboxTransport : public Transport {
  public:
   size_t peer_count() const override { return mailboxes_.size(); }
@@ -204,14 +220,20 @@ class MailboxTransport : public Transport {
   std::vector<Envelope> Drain(PeerId peer) override;
   void DrainInto(PeerId peer, std::vector<Envelope>* out) override;
 
-  /// True if any queue still holds messages (deliverable or future).
+  /// True if any queue still holds messages (deliverable or future): any
+  /// mail bit set, O(peers / 64).
   bool HasPendingMessages() const override;
+
+  /// Exact: the smallest peer >= `from` whose mailbox is non-empty, else
+  /// `peer_count()`.
+  PeerId NextPeerWithMail(PeerId from) const override;
 
   const TransportStats& stats() const override;
   void ResetStats() override;
 
  protected:
-  explicit MailboxTransport(size_t peer_count) : mailboxes_(peer_count) {}
+  explicit MailboxTransport(size_t peer_count)
+      : mailboxes_(peer_count), mail_bits_((peer_count + 63) / 64) {}
 
   /// Appends an envelope to `to`'s mailbox (send accounting is the
   /// caller's: it alone knows whether the message was dropped).
@@ -227,9 +249,9 @@ class MailboxTransport : public Transport {
   };
 
   std::atomic<uint64_t> now_{0};
-  /// Messages enqueued and not yet drained; O(1) HasPendingMessages.
-  std::atomic<uint64_t> in_flight_{0};
   std::vector<Mailbox> mailboxes_;
+  /// Bit p set iff mailbox p is non-empty (maintained under its lock).
+  std::vector<std::atomic<uint64_t>> mail_bits_;
   mutable TransportStats stats_snapshot_;
 };
 

@@ -1,6 +1,6 @@
 #include "util/logging.h"
 
-#include <iostream>
+#include <cstdio>
 
 namespace pdms {
 
@@ -25,7 +25,15 @@ Logger& Logger::Get() {
 
 void Logger::Log(LogLevel level, const std::string& message) {
   if (!Enabled(level)) return;
-  std::cerr << "[" << LogLevelName(level) << "] " << message << "\n";
+  std::string line;
+  line.reserve(message.size() + 9);
+  line += '[';
+  line += LogLevelName(level);
+  line += "] ";
+  line += message;
+  line += '\n';
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace pdms

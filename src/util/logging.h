@@ -1,7 +1,9 @@
 #ifndef PDMS_UTIL_LOGGING_H_
 #define PDMS_UTIL_LOGGING_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -16,25 +18,31 @@ std::string_view LogLevelName(LogLevel level);
 ///
 /// The library logs sparingly (topology construction summaries, convergence
 /// warnings); simulations stay silent at the default `kWarning` threshold so
-/// that benchmark output is clean. Not thread-safe by design — the simulator
-/// is single-threaded.
+/// that benchmark output is clean. Thread-safe: round workers log absorb
+/// rejections concurrently, so each line is formatted first and written to
+/// stderr in one call under a mutex — lines never interleave.
 class Logger {
  public:
   /// Global logger instance.
   static Logger& Get();
 
   /// Messages below `level` are discarded.
-  void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
+  void set_min_level(LogLevel level) {
+    min_level_.store(level, std::memory_order_relaxed);
+  }
+  LogLevel min_level() const {
+    return min_level_.load(std::memory_order_relaxed);
+  }
 
   /// Emits one line: "[LEVEL] message".
   void Log(LogLevel level, const std::string& message);
 
-  bool Enabled(LogLevel level) const { return level >= min_level_; }
+  bool Enabled(LogLevel level) const { return level >= min_level(); }
 
  private:
   Logger() = default;
-  LogLevel min_level_ = LogLevel::kWarning;
+  std::atomic<LogLevel> min_level_{LogLevel::kWarning};
+  std::mutex write_mutex_;
 };
 
 /// Stream-style log statement builder; emits on destruction.

@@ -1,13 +1,20 @@
 // Concurrency layer tests: the work-stealing ThreadPool the engine fans
-// rounds out on, and the thread-safety contract of the bundled Transport
-// implementations (sharded mailboxes, atomic stats). The transport tests
+// rounds out on, the thread-safety contract of the bundled Transport
+// implementations (sharded mailboxes, the mail bitmap, atomic stats), and
+// the line-atomic logger round workers share. The transport tests
 // are written to run meaningfully under ThreadSanitizer — CI builds this
 // binary with -fsanitize=thread and any lock misuse fails the job.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +23,7 @@
 #include "net/network.h"
 #include "net/socket_transport.h"
 #include "pdms/transport.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace pdms {
@@ -244,6 +252,147 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TransportFactoryCase>& info) {
       return std::string(info.param.label);
     });
+
+// --- Mail bitmap under concurrency -------------------------------------------------
+
+class MailBitmapConcurrencyTest
+    : public ::testing::TestWithParam<TransportFactoryCase> {};
+
+TEST_P(MailBitmapConcurrencyTest, BitmapMatchesMailboxesAfterParallelTraffic) {
+  // Senders hammer every mailbox while two drainers empty disjoint halves
+  // (the contract's concurrent pattern), for several ticks: each empty <->
+  // non-empty flip of a mailbox races with sends into the same 64-peer
+  // bitmap word, and a delayed transport's drains mix due and future
+  // envelopes. At quiescence every bit must agree with its mailbox.
+  constexpr size_t kPeers = 130;
+  constexpr size_t kSenders = 4;
+  constexpr size_t kPerSender = 500;
+  constexpr int kEpochs = 4;
+  auto transport = GetParam().make(kPeers);
+  std::atomic<size_t> drained{0};
+  auto drain_range = [&](PeerId begin, PeerId end) {
+    std::vector<Envelope> batch;
+    for (PeerId p = begin; p < end; ++p) {
+      transport->DrainInto(p, &batch);
+      drained.fetch_add(batch.size(), std::memory_order_relaxed);
+    }
+  };
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    std::atomic<bool> stop{false};
+    std::thread drainer_low([&] {
+      while (!stop.load(std::memory_order_acquire)) drain_range(0, kPeers / 2);
+    });
+    std::thread drainer_high([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        drain_range(kPeers / 2, kPeers);
+      }
+    });
+    std::vector<std::thread> senders;
+    for (size_t s = 0; s < kSenders; ++s) {
+      senders.emplace_back([&, s] {
+        for (size_t i = 0; i < kPerSender; ++i) {
+          transport->Send(
+              static_cast<PeerId>(s),
+              static_cast<PeerId>((i * 7 + s + epoch) % kPeers), std::nullopt,
+              SequencedProbe(static_cast<PeerId>(s), static_cast<uint32_t>(i)));
+        }
+      });
+    }
+    for (std::thread& sender : senders) sender.join();
+    stop.store(true, std::memory_order_release);
+    drainer_low.join();
+    drainer_high.join();
+    transport->AdvanceTick();  // driver-side, between the parallel phases
+  }
+
+  for (int tick = 0; tick < 4; ++tick) transport->AdvanceTick();
+  for (PeerId p = 0; p < kPeers; ++p) {
+    const bool flagged = transport->NextPeerWithMail(p) == p;
+    const size_t got = transport->Drain(p).size();
+    EXPECT_EQ(flagged, got > 0) << "peer " << p;
+    drained += got;
+  }
+  EXPECT_EQ(transport->NextPeerWithMail(0), kPeers);
+  EXPECT_FALSE(transport->HasPendingMessages());
+  EXPECT_EQ(drained.load(), kEpochs * kSenders * kPerSender);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MailboxTransports, MailBitmapConcurrencyTest,
+    ::testing::Values(
+        TransportFactoryCase{"instant",
+                             [](size_t peers) -> std::unique_ptr<Transport> {
+                               return std::make_unique<InstantTransport>(peers);
+                             }},
+        TransportFactoryCase{"sim",
+                             [](size_t peers) -> std::unique_ptr<Transport> {
+                               return std::make_unique<SimTransport>(
+                                   peers, NetworkOptions{});
+                             }},
+        TransportFactoryCase{"sim_delay3",
+                             [](size_t peers) -> std::unique_ptr<Transport> {
+                               NetworkOptions options;
+                               options.delay_ticks = 3;
+                               return std::make_unique<SimTransport>(peers,
+                                                                     options);
+                             }}),
+    [](const ::testing::TestParamInfo<TransportFactoryCase>& info) {
+      return std::string(info.param.label);
+    });
+
+// --- Logger ---------------------------------------------------------------------
+
+TEST(LoggerConcurrencyTest, ConcurrentLinesNeverInterleave) {
+  // Round workers log absorb rejections concurrently; every line must
+  // reach stderr whole. Redirect fd 2 into a temp file for the duration.
+  constexpr int kThreads = 8;
+  constexpr int kLines = 1000;
+  const std::string padding(120, 'x');
+  std::FILE* capture = std::tmpfile();
+  ASSERT_NE(capture, nullptr);
+  std::fflush(stderr);
+  const int saved = dup(STDERR_FILENO);
+  ASSERT_GE(saved, 0);
+  ASSERT_GE(dup2(fileno(capture), STDERR_FILENO), 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &padding] {
+      for (int i = 0; i < kLines; ++i) {
+        PDMS_LOG_WARNING << "thread " << t << " line " << i << " " << padding;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::fflush(stderr);
+  dup2(saved, STDERR_FILENO);
+  close(saved);
+
+  std::rewind(capture);
+  std::string contents;
+  char buffer[4096];
+  for (size_t n; (n = std::fread(buffer, 1, sizeof(buffer), capture)) > 0;) {
+    contents.append(buffer, n);
+  }
+  std::fclose(capture);
+
+  std::set<std::pair<int, int>> seen;
+  std::istringstream lines(contents);
+  size_t line_count = 0;
+  for (std::string line; std::getline(lines, line); ++line_count) {
+    int t = -1;
+    int i = -1;
+    char tail[200] = {};
+    ASSERT_EQ(std::sscanf(line.c_str(), "[WARN] thread %d line %d %199s", &t,
+                          &i, tail),
+              3)
+        << "mangled line: " << line;
+    EXPECT_EQ(line, "[WARN] thread " + std::to_string(t) + " line " +
+                        std::to_string(i) + " " + padding);
+    EXPECT_TRUE(seen.emplace(t, i).second) << "duplicate line: " << line;
+  }
+  EXPECT_EQ(line_count, static_cast<size_t>(kThreads * kLines));
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kLines));
+}
 
 }  // namespace
 }  // namespace pdms

@@ -8,6 +8,7 @@
 #include "net/codec.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "util/rng.h"
 
 namespace pdms {
 namespace {
@@ -963,6 +964,91 @@ TEST(SimTransportTest, DeterministicLossForSeed) {
     return delivered;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Mail bitmap -----------------------------------------------------------------
+
+/// Randomized sends, ticks and (possibly partial) drains against a model of
+/// every mailbox's length: after each step, `NextPeerWithMail(from)` must
+/// equal a brute-force scan for the first non-empty mailbox >= from, for
+/// every `from`. 150 peers span three bitmap words, so word boundaries and
+/// the tail word are both exercised.
+void ExpectBitmapMatchesMailboxes(MailboxTransport& transport, uint64_t seed) {
+  const size_t peers = transport.peer_count();
+  std::vector<size_t> queued(peers, 0);
+  const auto check = [&](size_t step) {
+    for (size_t from = 0; from <= peers; ++from) {
+      size_t expected = from;
+      while (expected < peers && queued[expected] == 0) ++expected;
+      ASSERT_EQ(transport.NextPeerWithMail(static_cast<PeerId>(from)),
+                expected)
+          << "from " << from << " at step " << step;
+    }
+    size_t total = 0;
+    for (size_t n : queued) total += n;
+    ASSERT_EQ(transport.HasPendingMessages(), total > 0) << "step " << step;
+  };
+  Rng rng(seed);
+  std::vector<Envelope> due;
+  check(0);
+  for (size_t step = 1; step <= 3000; ++step) {
+    const uint64_t action = rng.NextBounded(10);
+    if (action < 5) {
+      // Bursts into a few hot peers keep several mailboxes busy at once.
+      const auto to = static_cast<PeerId>(
+          rng.Bernoulli(0.5) ? rng.Index(4) * 63 % peers : rng.Index(peers));
+      transport.Send(static_cast<PeerId>(rng.Index(peers)), to, std::nullopt,
+                     MakeBelief());
+      ++queued[to];
+    } else if (action < 9) {
+      const auto peer = static_cast<PeerId>(rng.Index(peers));
+      if (rng.Bernoulli(0.5)) {
+        transport.DrainInto(peer, &due);
+      } else {
+        due = transport.Drain(peer);
+      }
+      ASSERT_LE(due.size(), queued[peer]);
+      queued[peer] -= due.size();
+    } else {
+      transport.AdvanceTick();
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Quiesce: everything becomes due and drains; the bitmap ends empty.
+  for (int tick = 0; tick < 4; ++tick) transport.AdvanceTick();
+  for (PeerId p = 0; p < peers; ++p) {
+    queued[p] -= transport.Drain(p).size();
+    ASSERT_EQ(queued[p], 0u) << "peer " << p;
+  }
+  check(0);
+  EXPECT_EQ(transport.NextPeerWithMail(0), peers);
+}
+
+TEST(MailBitmapTest, SimTransportBitmapNeverSkipsMail) {
+  for (const uint64_t delay : {1, 3}) {
+    SCOPED_TRACE(delay);
+    NetworkOptions options;
+    options.delay_ticks = delay;
+    SimTransport transport(150, options);
+    ExpectBitmapMatchesMailboxes(transport, 40 + delay);
+  }
+}
+
+TEST(MailBitmapTest, InstantTransportBitmapNeverSkipsMail) {
+  InstantTransport transport(150);
+  ExpectBitmapMatchesMailboxes(transport, 41);
+}
+
+TEST(MailBitmapTest, LossyDropsNeverSetABit) {
+  // A dropped message never reaches a mailbox, so it must not mark one.
+  NetworkOptions options;
+  options.send_probability = 0.0;
+  options.lose_belief_messages_only = false;
+  SimTransport transport(70, options);
+  for (PeerId p = 0; p < 70; ++p) transport.Send(0, p, std::nullopt, MakeBelief());
+  EXPECT_EQ(transport.NextPeerWithMail(0), 70u);
+  EXPECT_FALSE(transport.HasPendingMessages());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Tests for the public API layer (pdms/): builder validation, the
 // Transport conformance contract shared by SimTransport and
-// InstantTransport, transport-equivalence of inference results, the
-// session observer hook, and the Result<T> utilities it leans on.
+// InstantTransport, transport-equivalence of inference results and of
+// query reports, query dedup, the session observer hook, and the
+// Result<T> utilities it leans on.
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -795,6 +797,225 @@ TEST(ResultTest, CopyOfFailedResultStaysFailed) {
   EXPECT_FALSE(copy.ok());
   EXPECT_EQ(copy.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(copy.value_or("fallback"), "fallback");
+}
+
+// --- Query plane ------------------------------------------------------------------
+
+TEST(QueryDedupTest, FinishedQueryIdsAreForgottenOnEveryPeer) {
+  // Each peer dedups queries by id; once a query's traffic quiesces its id
+  // can never arrive again, so no peer may keep it.
+  Pdms pdms = IntroBuilder(EngineOptions{}).Build().value();
+  for (PeerId p = 0; p < pdms.peer_count(); ++p) {
+    pdms.peer(p).store().Insert(1, {{0, "Robinson"}, {1, "river"}});
+  }
+  pdms.session().Discover();
+  pdms.session().Converge(200);
+  const uint64_t first_id = pdms.engine().CaptureImage().next_query_id;
+  constexpr uint64_t kQueries = 1000;
+  Rng rng(5);
+  size_t visits = 0;
+  for (uint64_t q = 0; q < kQueries; ++q) {
+    Query query("q");
+    query.AddProjection(static_cast<AttributeId>(rng.Index(kAttrs)));
+    visits += pdms.session()
+                  .Query(static_cast<PeerId>(rng.Index(pdms.peer_count())),
+                         query, 3)
+                  .reached.size();
+  }
+  EXPECT_GT(visits, kQueries);  // the queries did travel past their origin
+
+  const PdmsEngine::EngineImage image = pdms.engine().CaptureImage();
+  ASSERT_EQ(image.next_query_id, first_id + kQueries);
+  for (PeerId p = 0; p < pdms.peer_count(); ++p) {
+    for (uint64_t id = first_id; id < image.next_query_id; ++id) {
+      ASSERT_FALSE(pdms.peer(p).SawQuery(id)) << "peer " << p << " id " << id;
+    }
+    EXPECT_TRUE(image.peers[p].seen_queries.empty()) << "peer " << p;
+  }
+}
+
+TEST(QueryDedupTest, BatchOverACycleReachesEachPeerAtMostOnce) {
+  // The intro network has the cycle p1->p2->p3->p4->p1 and the chord
+  // p2->p4, so a TTL-5 query reaches p4 along two routes. A concurrent
+  // batch still processes every query at most once per peer.
+  Pdms pdms = IntroBuilder(EngineOptions{}).Build().value();
+  pdms.session().Discover();
+  pdms.session().Converge(200);
+  std::vector<QueryRequest> requests;
+  for (int round = 0; round < 5; ++round) {
+    for (PeerId origin = 0; origin < pdms.peer_count(); ++origin) {
+      Query query("q");
+      query.AddProjection(1);  // attribute 0 is garbled on the chord
+      requests.push_back(QueryRequest{origin, query, 5});
+    }
+  }
+  const std::vector<QueryReport> reports = pdms.session().QueryAll(requests);
+  ASSERT_EQ(reports.size(), requests.size());
+  uint64_t messages = 0;
+  size_t visits = 0;
+  for (const QueryReport& report : reports) {
+    const std::set<PeerId> unique(report.reached.begin(), report.reached.end());
+    EXPECT_EQ(unique.size(), report.reached.size());
+    EXPECT_EQ(report.reached.size(), pdms.peer_count());
+    messages += report.messages;
+    visits += report.reached.size();
+  }
+  EXPECT_GT(messages, visits);  // some copies arrived twice and were dropped
+  for (PeerId p = 0; p < pdms.peer_count(); ++p) {
+    EXPECT_TRUE(pdms.engine().CaptureImage().peers[p].seen_queries.empty());
+  }
+}
+
+/// Forwards everything to `inner` but keeps the `Transport` defaults for
+/// `DrainInto` and `NextPeerWithMail`, so an engine over it drains every
+/// peer on every tick — the reference the mail-indexed path must match.
+class ScanAllTransport final : public Transport {
+ public:
+  explicit ScanAllTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+  std::string_view name() const override { return "scan-all"; }
+  size_t peer_count() const override { return inner_->peer_count(); }
+  uint64_t now() const override { return inner_->now(); }
+  void AdvanceTick() override { inner_->AdvanceTick(); }
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override {
+    inner_->Send(from, to, via, std::move(payload));
+  }
+  std::vector<Envelope> Drain(PeerId peer) override {
+    return inner_->Drain(peer);
+  }
+  bool HasPendingMessages() const override {
+    return inner_->HasPendingMessages();
+  }
+  const TransportStats& stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+};
+
+struct QueryStreamRun {
+  std::vector<QueryReport> reports;
+  std::vector<double> posteriors;
+  uint64_t bytes_sent = 0;
+};
+
+/// 500 seeded two-attribute queries over a 150-peer scale-free network
+/// (three bitmap words), with a Step every 50 of them; returns every
+/// report and the final posteriors.
+QueryStreamRun RunQueryStream(ScheduleKind schedule, bool instant,
+                              bool scan_all) {
+  constexpr size_t kNetAttrs = 6;
+  Rng rng(321);
+  Digraph graph = topology::BarabasiAlbert(150, 2, &rng);
+  topology::Symmetrize(&graph);
+  MappingNetworkOptions network_options;
+  network_options.attributes_per_schema = kNetAttrs;
+  const SyntheticPdms synthetic =
+      BuildSyntheticPdms(graph, network_options, &rng);
+
+  EngineOptions options;
+  options.probe_ttl = 3;
+  options.closure_limits.min_cycle_length = 2;
+  options.closure_limits.max_cycle_length = 3;
+  options.closure_limits.max_path_length = 1;
+  options.schedule = schedule;
+  PdmsBuilder builder = PdmsBuilder::FromSynthetic(synthetic);
+  builder.WithOptions(options).WithTransport(
+      [instant, scan_all](size_t peers, const EngineOptions& engine_options)
+          -> std::unique_ptr<Transport> {
+        std::unique_ptr<Transport> transport;
+        if (instant) {
+          transport = std::make_unique<InstantTransport>(peers);
+        } else {
+          transport =
+              std::make_unique<SimTransport>(peers, engine_options.network);
+        }
+        if (scan_all) {
+          transport = std::make_unique<ScanAllTransport>(std::move(transport));
+        }
+        return transport;
+      });
+  Pdms pdms = builder.Build().value();
+  for (PeerId p = 0; p < pdms.peer_count(); ++p) {
+    for (AttributeId a = 0; a < kNetAttrs; ++a) {
+      pdms.peer(p).store().Insert(p, {{a, StrFormat("p%u_a%u", p, a)}});
+    }
+  }
+  EXPECT_GT(pdms.session().Discover(), 0u);
+  if (schedule == ScheduleKind::kPeriodic) pdms.session().Converge(20);
+
+  QueryStreamRun run;
+  Rng stream(99);
+  for (size_t q = 0; q < 500; ++q) {
+    Query query("q");
+    const auto first = static_cast<AttributeId>(stream.Index(kNetAttrs));
+    query.AddProjection(first);
+    query.AddProjection(static_cast<AttributeId>(
+        (first + 1 + stream.Index(kNetAttrs - 1)) % kNetAttrs));
+    run.reports.push_back(pdms.session().Query(
+        static_cast<PeerId>(stream.Index(pdms.peer_count())), query, 3));
+    // Periodic Steps leave belief bundles in flight that the next query's
+    // delivery drains alongside its own traffic.
+    if ((q + 1) % 50 == 0) pdms.session().Step();
+  }
+  for (EdgeId e : pdms.graph().LiveEdges()) {
+    for (AttributeId a = 0; a < kNetAttrs; ++a) {
+      run.posteriors.push_back(pdms.Posterior(e, a));
+    }
+  }
+  run.bytes_sent = pdms.transport().stats().bytes_sent;
+  return run;
+}
+
+void ExpectSameReports(const QueryStreamRun& expected,
+                       const QueryStreamRun& actual) {
+  ASSERT_EQ(actual.reports.size(), expected.reports.size());
+  for (size_t q = 0; q < expected.reports.size(); ++q) {
+    const QueryReport& want = expected.reports[q];
+    const QueryReport& got = actual.reports[q];
+    ASSERT_EQ(got.reached, want.reached) << "query " << q;
+    ASSERT_EQ(got.used_edges, want.used_edges) << "query " << q;
+    ASSERT_EQ(got.blocked_edges, want.blocked_edges) << "query " << q;
+    ASSERT_EQ(got.messages, want.messages) << "query " << q;
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << "query " << q;
+    for (size_t r = 0; r < want.rows.size(); ++r) {
+      EXPECT_EQ(got.rows[r].first, want.rows[r].first);
+      EXPECT_EQ(got.rows[r].second.document, want.rows[r].second.document);
+      EXPECT_EQ(got.rows[r].second.entity, want.rows[r].second.entity);
+      EXPECT_EQ(got.rows[r].second.values, want.rows[r].second.values);
+    }
+  }
+  ASSERT_EQ(actual.posteriors.size(), expected.posteriors.size());
+  for (size_t i = 0; i < expected.posteriors.size(); ++i) {
+    ASSERT_EQ(actual.posteriors[i], expected.posteriors[i]) << "posterior " << i;
+  }
+  EXPECT_EQ(actual.bytes_sent, expected.bytes_sent);
+}
+
+TEST(QueryPlaneEquivalenceTest, MailIndexedDeliveryMatchesTheScanAllPath) {
+  EXPECT_EQ(ScanAllTransport(std::make_unique<InstantTransport>(3))
+                .NextPeerWithMail(1),
+            1u);  // the default hook: "maybe mail" for every peer
+  for (const ScheduleKind schedule :
+       {ScheduleKind::kPeriodic, ScheduleKind::kLazy}) {
+    for (const bool instant : {false, true}) {
+      SCOPED_TRACE(StrFormat("%s schedule, %s transport",
+                             schedule == ScheduleKind::kLazy ? "lazy"
+                                                             : "periodic",
+                             instant ? "instant" : "sim"));
+      const QueryStreamRun scan = RunQueryStream(schedule, instant, true);
+      size_t reached = 0;
+      size_t blocked = 0;
+      for (const QueryReport& report : scan.reports) {
+        reached += report.reached.size();
+        blocked += report.blocked_edges.size();
+      }
+      EXPECT_GT(reached, 2 * scan.reports.size());  // multi-hop traffic
+      EXPECT_GT(blocked, 0u);                       // the θ-gate bit
+      ExpectSameReports(scan, RunQueryStream(schedule, instant, false));
+    }
+  }
 }
 
 }  // namespace
