@@ -1,7 +1,8 @@
 // Reproduces Figure 11: robustness of the embedded message passing scheme
 // against lost messages. For every remote belief message, the network
-// delivers it only with probability P(send); the algorithm must still
-// converge to the same posteriors, just more slowly.
+// delivers it only with probability P(send) — a `FaultInjectingTransport`
+// with drop rate 1 − P(send); the algorithm must still converge to the
+// same posteriors, just more slowly.
 //
 // Setup per the paper: example network, ∆ = 0.1, priors at 0.8, feedback
 // f1+, f2−, f3−. The paper observes convergence even when 90% of messages
@@ -9,8 +10,10 @@
 // the discard rate.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/fixtures.h"
+#include "net/fault_injection.h"
 #include "util/table.h"
 
 namespace pdms {
@@ -29,10 +32,19 @@ LossRun RunWithLoss(double p_send, const std::vector<double>* reference,
   EngineOptions options;
   options.default_prior = 0.8;
   options.delta_override = 0.1;
-  options.network.send_probability = p_send;
-  options.network.seed = 1234;
   options.tolerance = 1e-7;
-  bench::IntroFixture fixture = bench::MakeIntroFixture(options);
+  FaultPlan plan;
+  plan.seed = 1234;
+  plan.drop_rate = 1.0 - p_send;
+  // No discovery runs here, so every envelope the plan sees is a belief
+  // message: arming it from the start is the paper's beliefs-only loss.
+  bench::IntroFixture fixture = bench::MakeIntroFixture(
+      options, 0, 17,
+      [plan](size_t peer_count, const EngineOptions& engine_options) {
+        return std::make_unique<FaultInjectingTransport>(
+            std::make_unique<SimTransport>(peer_count, engine_options.network),
+            plan);
+      });
   bench::InjectPaperFeedback(fixture);
   Pdms& pdms = fixture.pdms;
   const ConvergenceReport report = pdms.session().Converge(4000);

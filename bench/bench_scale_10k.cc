@@ -49,7 +49,6 @@
 
 #include "graph/topology.h"
 #include "net/fault_injection.h"
-#include "net/network.h"
 #include "pdms/pdms.h"
 #include "util/rng.h"
 #include "util/string_util.h"

@@ -1,6 +1,7 @@
 #ifndef PDMS_BENCH_FIXTURES_H_
 #define PDMS_BENCH_FIXTURES_H_
 
+#include <utility>
 #include <vector>
 
 #include "graph/topology.h"
@@ -25,9 +26,10 @@ struct IntroFixture {
 /// concept-identities except m24 which garbles attribute 0 ("Creator").
 /// With `inserted` > 0 the Figure 8 construction is used: `inserted` extra
 /// peers are spliced into the p1 -> p2 mapping, lengthening cycles f1/f2.
-inline IntroFixture MakeIntroFixture(EngineOptions options,
-                                     size_t inserted = 0,
-                                     uint64_t seed = 17) {
+/// `transport`, when set, replaces the default `SimTransport`.
+inline IntroFixture MakeIntroFixture(
+    EngineOptions options, size_t inserted = 0, uint64_t seed = 17,
+    PdmsBuilder::TransportFactory transport = nullptr) {
   IntroFixture fixture;
   Rng rng(seed);
   const Digraph graph =
@@ -39,6 +41,7 @@ inline IntroFixture MakeIntroFixture(EngineOptions options,
 
   PdmsBuilder builder;
   builder.WithOptions(options);
+  if (transport) builder.WithTransport(std::move(transport));
   for (NodeId p = 0; p < graph.node_count(); ++p) {
     Schema schema(StrFormat("p%u", p + 1));
     for (size_t a = 0; a < kIntroAttrs; ++a) {

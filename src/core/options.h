@@ -6,7 +6,7 @@
 
 #include "graph/closure.h"
 #include "net/fault_injection.h"
-#include "net/network.h"
+#include "pdms/transport.h"
 
 namespace pdms {
 
@@ -155,8 +155,12 @@ struct EngineOptions {
   Granularity granularity = Granularity::kFine;
 
   /// Convergence: max posterior change per round below `tolerance` for
-  /// `convergence_patience` consecutive rounds (0 = auto like the
-  /// centralized engine: 1 lossless, ceil(3/P(send)) lossy).
+  /// `convergence_patience` consecutive rounds. 0 = auto, from the belief
+  /// loss the transport measured during the current `RunToConvergence`
+  /// call (`TransportStats::dropped` over the envelopes the engine sent):
+  /// 1 when nothing was dropped, else the centralized engine's
+  /// ceil(3/P(send)) with P(send) = 1 − measured loss; a run that lost
+  /// every envelope never declares convergence.
   double tolerance = 1e-7;
   size_t convergence_patience = 0;
   /// Damping λ in [0,1) on local factor->variable message updates:
@@ -182,6 +186,7 @@ struct EngineOptions {
   /// `FaultPlan`s; see `ByzantinePlan` in net/fault_injection.h.
   ByzantinePlan byzantine;
 
+  /// Delivery delay of the default in-process `SimTransport`.
   NetworkOptions network;
 };
 

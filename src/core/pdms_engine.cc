@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <limits>
 #include <map>
 #include <thread>
 #include <unordered_set>
@@ -11,6 +11,19 @@
 #include "util/string_util.h"
 
 namespace pdms {
+namespace {
+
+/// The paper's ceil(3 / P(send)) quiet rounds, with P(send) measured as
+/// the share of `sent` belief envelopes that were not `dropped`: 1 when
+/// nothing was dropped, never (SIZE_MAX) when nothing got through.
+size_t MeasuredPatience(uint64_t dropped, uint64_t sent) {
+  if (dropped == 0) return 1;
+  if (dropped >= sent) return std::numeric_limits<size_t>::max();
+  const uint64_t delivered = sent - dropped;
+  return static_cast<size_t>((3 * sent + delivered - 1) / delivered);
+}
+
+}  // namespace
 
 PdmsEngine::PdmsEngine(Digraph graph, EngineOptions options,
                        std::unique_ptr<Transport> transport)
@@ -294,21 +307,25 @@ RoundReport PdmsEngine::RunRound() {
 
 ConvergenceReport PdmsEngine::RunToConvergence(size_t max_rounds,
                                                const RoundCallback& on_round) {
+  constexpr auto kBelief = static_cast<size_t>(MessageKind::kBelief);
   ConvergenceReport report;
-  size_t patience = options_.convergence_patience;
-  if (patience == 0) {
-    patience = options_.network.send_probability >= 1.0
-                   ? 1
-                   : static_cast<size_t>(
-                         std::ceil(3.0 / options_.network.send_probability));
-  }
+  const uint64_t dropped_before = transport_->stats().dropped[kBelief];
+  uint64_t envelopes_sent = 0;
   size_t quiet = 0;
   for (size_t round = 0; round < max_rounds; ++round) {
     const RoundReport step = RunRound();
     report.rounds = round + 1;
     report.belief_updates_sent += step.belief_updates_sent;
+    envelopes_sent += step.belief_envelopes_sent;
     if (on_round) on_round(report.rounds, step);
     quiet = step.max_posterior_change < options_.tolerance ? quiet + 1 : 0;
+    if (quiet == 0) continue;
+    const size_t patience =
+        options_.convergence_patience != 0
+            ? options_.convergence_patience
+            : MeasuredPatience(
+                  transport_->stats().dropped[kBelief] - dropped_before,
+                  envelopes_sent);
     if (quiet >= patience) {
       report.converged = true;
       break;

@@ -14,7 +14,6 @@
 #include "core/peer.h"
 #include "factor/factor_graph.h"
 #include "mapping/mapping_generator.h"
-#include "net/network.h"
 #include "pdms/transport.h"
 #include "util/thread_pool.h"
 
@@ -104,8 +103,10 @@ class PdmsEngine {
   /// schedule, every τ) exchange remote messages.
   RoundReport RunRound();
 
-  /// Rounds until posterior movement stays below tolerance (with loss-aware
-  /// patience) or `max_rounds`. `on_round`, when set, observes every round.
+  /// Rounds until posterior movement stays below tolerance (with patience
+  /// from the belief loss measured during this call; see
+  /// `EngineOptions::convergence_patience`) or `max_rounds`. `on_round`,
+  /// when set, observes every round.
   ConvergenceReport RunToConvergence(size_t max_rounds,
                                      const RoundCallback& on_round = nullptr);
 

@@ -248,6 +248,11 @@ void FaultInjectingTransport::FlushReorderSlotLocked() {
   ForwardLocked(held.from, held.to, held.via, std::move(held.payload));
 }
 
+void FaultInjectingTransport::DropLocked(MessageKind kind) {
+  ++dropped_[static_cast<size_t>(kind)];
+  FlushReorderSlotLocked();
+}
+
 void FaultInjectingTransport::Send(PeerId from, PeerId to,
                                    std::optional<EdgeId> via,
                                    Payload payload) {
@@ -261,21 +266,21 @@ void FaultInjectingTransport::Send(PeerId from, PeerId to,
   const FaultDecision decision = DrawFaults(plan_, stream, seq, 0);
   ++fault_stats_.events;
 
+  const MessageKind kind = KindOf(payload);
   if (decision.drop) {
     ++fault_stats_.dropped;
-    FlushReorderSlotLocked();
+    DropLocked(kind);
     return;
   }
   if (decision.corrupt) {
     // Round-trip the payload through the exact codec with one bit flipped:
     // surviving flips reach the engine as plausible-but-wrong messages,
     // rejected flips model the codec refusing the frame (a drop).
-    const MessageKind kind = KindOf(payload);
     std::vector<uint8_t> bytes;
     EncodePayload(payload, &bytes);
     if (bytes.empty()) {
       ++fault_stats_.corrupt_rejected;
-      FlushReorderSlotLocked();
+      DropLocked(kind);
       return;
     }
     const uint64_t bit = decision.corrupt_entropy % (bytes.size() * 8);
@@ -284,7 +289,7 @@ void FaultInjectingTransport::Send(PeerId from, PeerId to,
         DecodePayload(kind, std::span<const uint8_t>(bytes));
     if (!decoded.ok()) {
       ++fault_stats_.corrupt_rejected;
-      FlushReorderSlotLocked();
+      DropLocked(kind);
       return;
     }
     payload = std::move(decoded).value();
@@ -343,6 +348,22 @@ bool FaultInjectingTransport::HasPendingMessages() const {
     if (reorder_slot_.has_value() || !delayed_.empty()) return true;
   }
   return inner_->HasPendingMessages();
+}
+
+const TransportStats& FaultInjectingTransport::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_snapshot_ = inner_->stats();
+  for (size_t k = 0; k < kMessageKindCount; ++k) {
+    stats_snapshot_.sent[k] += dropped_[k];
+    stats_snapshot_.dropped[k] += dropped_[k];
+  }
+  return stats_snapshot_;
+}
+
+void FaultInjectingTransport::ResetStats() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  dropped_ = {};
+  inner_->ResetStats();
 }
 
 FaultStats FaultInjectingTransport::fault_stats() const {

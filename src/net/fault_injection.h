@@ -1,6 +1,7 @@
 #ifndef PDMS_NET_FAULT_INJECTION_H_
 #define PDMS_NET_FAULT_INJECTION_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -165,8 +166,9 @@ class ByzantinePeerDecorator {
   mutable uint64_t forged_entries_ = 0;
 };
 
-/// Ledger of injected faults, separate from `TransportStats` (which only
-/// see the traffic that survived injection).
+/// Ledger of injected faults by type. The envelope decorator's drops also
+/// reach its `TransportStats` (`sent` and `dropped`); duplicates, reorders
+/// and delays appear only here.
 struct FaultStats {
   uint64_t events = 0;
   uint64_t dropped = 0;
@@ -192,9 +194,11 @@ struct FaultStats {
 /// Under parallel sends the arrival order of events at the decorator is
 /// scheduler-dependent, so use serial rounds when comparing runs.
 ///
-/// `stats()` forwards the inner transport's counters; injected faults are
-/// accounted in `fault_stats()` instead (a dropped envelope never reaches
-/// the inner transport at all).
+/// `stats()` is the inner transport's ledger plus the envelopes this layer
+/// dropped itself (plain drops and corruptions the codec rejected), which
+/// count as sent and dropped — so `TransportStats::dropped` reports every
+/// loss whichever layer caused it. `fault_stats()` breaks the injected
+/// faults down by type.
 class FaultInjectingTransport final : public Transport {
  public:
   FaultInjectingTransport(std::unique_ptr<Transport> inner, FaultPlan plan);
@@ -219,8 +223,8 @@ class FaultInjectingTransport final : public Transport {
     return inner_->NextPeerWithMail(from);
   }
   bool HasPendingMessages() const override;
-  const TransportStats& stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
+  const TransportStats& stats() const override;
+  void ResetStats() override;
 
   Transport& inner() { return *inner_; }
   const FaultPlan& plan() const { return plan_; }
@@ -244,6 +248,7 @@ class FaultInjectingTransport final : public Transport {
   void ForwardLocked(PeerId from, PeerId to, std::optional<EdgeId> via,
                      Payload payload);
   void FlushReorderSlotLocked();
+  void DropLocked(MessageKind kind);
 
   std::unique_ptr<Transport> inner_;
   FaultPlan plan_;
@@ -253,6 +258,9 @@ class FaultInjectingTransport final : public Transport {
   std::optional<Held> reorder_slot_;
   std::vector<Held> delayed_;
   FaultStats fault_stats_;
+  /// Envelopes this layer dropped, per kind (the `stats()` share).
+  std::array<uint64_t, kMessageKindCount> dropped_{};
+  mutable TransportStats stats_snapshot_;
 };
 
 }  // namespace pdms

@@ -58,8 +58,9 @@ struct SocketTransportOptions {
   /// (single-shard loopback).
   std::vector<uint32_t> shard_of;
 
-  /// Ticks between send and deliverability, mirroring
-  /// `NetworkOptions::delay_ticks` (1 = deliverable next tick).
+  /// Ticks between send and deliverability, mirroring the in-process
+  /// `SimTransport`'s `NetworkOptions::delay_ticks` in pdms/transport.h
+  /// (1 = deliverable next tick).
   uint64_t delay_ticks = 1;
 
   /// How long the *initial* dial of a shard may retry before the transport

@@ -419,8 +419,9 @@ Result<size_t> PdmsNode::RunDiscovery() {
 
 Result<ConvergenceReport> PdmsNode::RunRounds() {
   const EngineOptions& engine_options = pdms_.options();
-  // The socket wire is lossless, so the auto patience rule resolves to 1
-  // exactly like the lossless simulator's.
+  // SocketTransport never drops an envelope, so the measured-loss patience
+  // rule of RunToConvergence would resolve to 1: keep that fixed value,
+  // identical on every shard.
   const size_t patience = engine_options.convergence_patience == 0
                               ? 1
                               : engine_options.convergence_patience;

@@ -155,7 +155,7 @@ class PdmsNode {
 
   /// Mark-synchronized inference rounds until the *global* posterior
   /// movement (max over all live shards) stays below tolerance, with the
-  /// same patience semantics as `PdmsEngine::RunToConvergence` — a
+  /// patience `PdmsEngine::RunToConvergence` uses on a lossless wire — a
   /// partitioned run executes exactly as many rounds as the
   /// single-process one. The posterior snapshot queries are served from
   /// is refreshed after every round.

@@ -60,7 +60,8 @@ PdmsBuilder& PdmsBuilder::WithSimTransport(const NetworkOptions& network) {
 PdmsBuilder& PdmsBuilder::WithInstantTransport() {
   return WithTransport(
       [](size_t peer_count, const EngineOptions& /*options*/) {
-        return std::make_unique<InstantTransport>(peer_count);
+        return std::make_unique<SimTransport>(
+            peer_count, NetworkOptions{.delay_ticks = 0});
       });
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "mapping/mapping_generator.h"
-#include "net/network.h"
 #include "pdms/pdms.h"
 #include "pdms/transport.h"
 
@@ -81,11 +80,13 @@ class PdmsBuilder {
   /// the final peer count.
   PdmsBuilder& WithTransport(TransportFactory factory);
 
-  /// Discrete-tick simulator with explicit delay / loss configuration
-  /// (also reachable via `EngineOptions::network`; this override wins).
+  /// In-process simulator with an explicit delivery delay (also
+  /// reachable via `EngineOptions::network`; this override wins). For
+  /// message loss wrap a transport in a `FaultInjectingTransport`.
   PdmsBuilder& WithSimTransport(const NetworkOptions& network);
 
-  /// Zero-delay lossless in-process transport.
+  /// Shorthand for `WithSimTransport({.delay_ticks = 0})`: the zero-delay
+  /// "instant" transport.
   PdmsBuilder& WithInstantTransport();
 
   /// Preloads peers and mappings from a generated synthetic PDMS

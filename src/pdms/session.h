@@ -60,8 +60,8 @@ class Session {
   RoundReport Step();
 
   /// Rounds until posterior movement stays below the configured tolerance
-  /// (with loss-aware patience) or `limits.max_rounds`; observers fire
-  /// after every round.
+  /// (patience from the measured belief loss) or `limits.max_rounds`;
+  /// observers fire after every round.
   ConvergenceReport Converge(ConvergeLimits limits = {});
 
   // --- Queries ---------------------------------------------------------------

@@ -43,14 +43,14 @@ std::string TransportStats::ToString() const {
 void AtomicTransportStats::SnapshotTo(TransportStats* out) const {
   for (size_t k = 0; k < kMessageKindCount; ++k) {
     out->sent[k] = sent[k].load(std::memory_order_relaxed);
-    out->dropped[k] = dropped[k].load(std::memory_order_relaxed);
+    out->dropped[k] = 0;
     out->delivered[k] = delivered[k].load(std::memory_order_relaxed);
   }
   out->bytes_sent = bytes_sent.load(std::memory_order_relaxed);
   out->key_bytes_sent = key_bytes_sent.load(std::memory_order_relaxed);
   out->alias_bytes_sent = alias_bytes_sent.load(std::memory_order_relaxed);
   out->value_bytes_sent = value_bytes_sent.load(std::memory_order_relaxed);
-  out->header_bytes_sent = header_bytes_sent.load(std::memory_order_relaxed);
+  out->header_bytes_sent = out->bytes_sent - out->value_bytes_sent;
   out->frames_dropped_at_shutdown =
       frames_dropped_at_shutdown.load(std::memory_order_relaxed);
 }
@@ -58,26 +58,24 @@ void AtomicTransportStats::SnapshotTo(TransportStats* out) const {
 void AtomicTransportStats::Reset() {
   for (size_t k = 0; k < kMessageKindCount; ++k) {
     sent[k].store(0, std::memory_order_relaxed);
-    dropped[k].store(0, std::memory_order_relaxed);
     delivered[k].store(0, std::memory_order_relaxed);
   }
   bytes_sent.store(0, std::memory_order_relaxed);
   key_bytes_sent.store(0, std::memory_order_relaxed);
   alias_bytes_sent.store(0, std::memory_order_relaxed);
   value_bytes_sent.store(0, std::memory_order_relaxed);
-  header_bytes_sent.store(0, std::memory_order_relaxed);
   frames_dropped_at_shutdown.store(0, std::memory_order_relaxed);
 }
 
-void MailboxTransport::Enqueue(PeerId from, PeerId to,
-                               std::optional<EdgeId> via, uint64_t deliver_at,
-                               Payload payload) {
+void SimTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+                        Payload payload) {
   assert(to < mailboxes_.size());
+  counters_.CountSent(KindOf(payload), PayloadWireBreakdown(payload));
   Envelope envelope;
   envelope.from = from;
   envelope.to = to;
   envelope.via = via;
-  envelope.deliver_at = deliver_at;
+  envelope.deliver_at = now() + delay_ticks_;
   envelope.payload = std::move(payload);
   {
     std::lock_guard<std::mutex> lock(mailboxes_[to].mutex);
@@ -90,13 +88,13 @@ void MailboxTransport::Enqueue(PeerId from, PeerId to,
   }
 }
 
-std::vector<Envelope> MailboxTransport::Drain(PeerId peer) {
+std::vector<Envelope> SimTransport::Drain(PeerId peer) {
   std::vector<Envelope> due;
   DrainInto(peer, &due);
   return due;
 }
 
-void MailboxTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
+void SimTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
   assert(peer < mailboxes_.size());
   out->clear();
   const uint64_t current = now();
@@ -134,11 +132,11 @@ void MailboxTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
   }
 }
 
-bool MailboxTransport::HasPendingMessages() const {
+bool SimTransport::HasPendingMessages() const {
   return NextPeerWithMail(0) < peer_count();
 }
 
-PeerId MailboxTransport::NextPeerWithMail(PeerId from) const {
+PeerId SimTransport::NextPeerWithMail(PeerId from) const {
   for (size_t word = from / 64; word < mail_bits_.size(); ++word) {
     uint64_t bits = mail_bits_[word].load(std::memory_order_acquire);
     if (word == from / 64) bits &= ~uint64_t{0} << (from % 64);
@@ -149,17 +147,11 @@ PeerId MailboxTransport::NextPeerWithMail(PeerId from) const {
   return static_cast<PeerId>(peer_count());
 }
 
-const TransportStats& MailboxTransport::stats() const {
+const TransportStats& SimTransport::stats() const {
   counters_.SnapshotTo(&stats_snapshot_);
   return stats_snapshot_;
 }
 
-void MailboxTransport::ResetStats() { counters_.Reset(); }
-
-void InstantTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
-                            Payload payload) {
-  counters_.CountSent(KindOf(payload), PayloadWireBreakdown(payload));
-  Enqueue(from, to, via, now(), std::move(payload));
-}
+void SimTransport::ResetStats() { counters_.Reset(); }
 
 }  // namespace pdms

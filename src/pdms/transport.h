@@ -16,7 +16,10 @@ namespace pdms {
 
 /// Per-kind traffic counters every `Transport` implementation maintains.
 struct TransportStats {
+  /// Send attempts, drops included.
   std::array<uint64_t, kMessageKindCount> sent{};
+  /// Envelopes lost on the way, whichever layer dropped them (a
+  /// `FaultInjectingTransport` adds its own drops to its inner ledger).
   std::array<uint64_t, kMessageKindCount> dropped{};
   std::array<uint64_t, kMessageKindCount> delivered{};
   /// Estimated payload bytes accepted for delivery (drops excluded), per
@@ -36,8 +39,7 @@ struct TransportStats {
   uint64_t value_bytes_sent = 0;
   /// Everything else: `bytes_sent - value_bytes_sent` (framing varints,
   /// alias headers, fingerprints, positions, probe/feedback structure),
-  /// maintained alongside so the value/header split is measured, not
-  /// estimated.
+  /// derived from the two measured counters when the stats are read.
   uint64_t header_bytes_sent = 0;
   /// Frames still unacknowledged when the transport shut down and stopped
   /// retransmitting (they may or may not have reached the receiver). Zero
@@ -55,45 +57,30 @@ struct TransportStats {
 /// synchronization.
 struct AtomicTransportStats {
   std::array<std::atomic<uint64_t>, kMessageKindCount> sent{};
-  std::array<std::atomic<uint64_t>, kMessageKindCount> dropped{};
   std::array<std::atomic<uint64_t>, kMessageKindCount> delivered{};
   std::atomic<uint64_t> bytes_sent{0};
   std::atomic<uint64_t> key_bytes_sent{0};
   std::atomic<uint64_t> alias_bytes_sent{0};
   std::atomic<uint64_t> value_bytes_sent{0};
-  std::atomic<uint64_t> header_bytes_sent{0};
   std::atomic<uint64_t> frames_dropped_at_shutdown{0};
 
-  /// Counts one send attempt of `kind` (drops included — `sent` tracks
-  /// attempts; pair with CountDropped for the loss ledger).
-  void CountSendAttempt(MessageKind kind) {
+  /// Counts one envelope of `kind` accepted for delivery, with its bytes.
+  /// The transports that use this block never drop an envelope; loss is
+  /// injected (and counted) by `FaultInjectingTransport` above them.
+  void CountSent(MessageKind kind, const WireBreakdown& wire) {
     sent[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Accounts payload bytes *accepted for delivery* — lossy transports
-  /// must call this only after the drop decision, per the documented
-  /// `TransportStats::bytes_sent` semantics.
-  void CountPayloadBytes(const WireBreakdown& wire) {
     bytes_sent.fetch_add(wire.bytes, std::memory_order_relaxed);
     key_bytes_sent.fetch_add(wire.key_bytes, std::memory_order_relaxed);
     alias_bytes_sent.fetch_add(wire.alias_bytes, std::memory_order_relaxed);
     value_bytes_sent.fetch_add(wire.value_bytes, std::memory_order_relaxed);
-    header_bytes_sent.fetch_add(wire.bytes - wire.value_bytes,
-                                std::memory_order_relaxed);
-  }
-  /// Attempt + bytes in one call, for transports that never drop.
-  void CountSent(MessageKind kind, const WireBreakdown& wire) {
-    CountSendAttempt(kind);
-    CountPayloadBytes(wire);
-  }
-  void CountDropped(MessageKind kind) {
-    dropped[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
   }
   void CountDelivered(MessageKind kind, uint64_t count = 1) {
     delivered[static_cast<size_t>(kind)].fetch_add(count,
                                                    std::memory_order_relaxed);
   }
 
-  /// Relaxed snapshot into `out`; exact when the transport is quiescent.
+  /// Relaxed snapshot into `out` (`header_bytes_sent` derived); exact when
+  /// the transport is quiescent.
   void SnapshotTo(TransportStats* out) const;
   void Reset();
 };
@@ -114,9 +101,10 @@ struct CapturedFrame {
 /// The engine computes *what* the peers exchange (probes, feedback
 /// announcements, belief updates, queries); a `Transport` decides *how*
 /// the envelopes travel: with what delay, what loss, over what substrate.
-/// Implementations ship with the library (`SimTransport`, the discrete-
-/// tick lossy simulator; `InstantTransport`, zero-delay and lossless) and
-/// can be supplied by applications through `PdmsBuilder::WithTransport`.
+/// Implementations ship with the library (`SimTransport`, the in-process
+/// discrete-tick simulator; `SocketTransport`, framed TCP; and the
+/// `FaultInjectingTransport` decorator, the one source of envelope loss)
+/// and can be supplied by applications through `PdmsBuilder::WithTransport`.
 ///
 /// Contract (exercised by the shared conformance test):
 ///  * `Send` may drop (recording `dropped`) but never reorders messages
@@ -140,7 +128,7 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Short stable identifier, e.g. "sim" or "instant".
+  /// Short stable identifier, e.g. "sim", "instant" or "socket".
   virtual std::string_view name() const = 0;
 
   virtual size_t peer_count() const = 0;
@@ -182,9 +170,19 @@ class Transport {
   virtual void ResetStats() = 0;
 };
 
-/// Internal: the per-destination mailboxes behind the library's
-/// in-process transports (`SimTransport`, `InstantTransport`), which only
-/// differ in how `Send` stamps delivery ticks and drops messages.
+/// Configuration of the in-process simulated transport.
+struct NetworkOptions {
+  /// Delivery latency in ticks: a message sent at tick t becomes
+  /// deliverable at t + delay_ticks. 0 makes it deliverable in the same
+  /// tick — the "instant" transport, for convergence-only workloads that
+  /// need no tick-per-hop waiting.
+  uint64_t delay_ticks = 1;
+};
+
+/// The library's in-process transport: lossless per-destination mailboxes
+/// with a fixed delivery delay. Delay 0 is the "instant" transport and the
+/// reference implementation for the Transport conformance contract; loss
+/// comes only from wrapping it in a `FaultInjectingTransport`.
 ///
 /// Mailboxes are sharded per destination peer, each a vector behind its
 /// own mutex, so concurrent sends to different peers never contend and
@@ -198,13 +196,22 @@ class Transport {
 /// round's capacity. Draining an empty mailbox touches no counter.
 ///
 /// One bit per peer, in atomic 64-bit words, is set while that peer's
-/// mailbox is non-empty: `Enqueue` sets it on the empty -> non-empty
+/// mailbox is non-empty: `Send` sets it on the empty -> non-empty
 /// transition and a drain that empties the queue clears it, both under the
 /// mailbox's lock. `NextPeerWithMail` finds the next set bit, so a query
 /// tick costs the mailboxes holding mail, not the network size, and
 /// `HasPendingMessages` is "any bit set" — no per-message counter.
-class MailboxTransport : public Transport {
+class SimTransport final : public Transport {
  public:
+  SimTransport(size_t peer_count, const NetworkOptions& options)
+      : delay_ticks_(options.delay_ticks),
+        mailboxes_(peer_count),
+        mail_bits_((peer_count + 63) / 64) {}
+
+  /// "instant" at delay 0, "sim" otherwise.
+  std::string_view name() const override {
+    return delay_ticks_ == 0 ? "instant" : "sim";
+  }
   size_t peer_count() const override { return mailboxes_.size(); }
   uint64_t now() const override {
     return now_.load(std::memory_order_relaxed);
@@ -212,6 +219,10 @@ class MailboxTransport : public Transport {
   void AdvanceTick() override {
     now_.fetch_add(1, std::memory_order_relaxed);
   }
+
+  /// Enqueues a message for delivery `delay_ticks` from now.
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override;
 
   /// Removes and returns the envelopes deliverable to `peer` at the
   /// current tick (deliver_at <= now), in send order. A fully due
@@ -231,44 +242,19 @@ class MailboxTransport : public Transport {
   const TransportStats& stats() const override;
   void ResetStats() override;
 
- protected:
-  explicit MailboxTransport(size_t peer_count)
-      : mailboxes_(peer_count), mail_bits_((peer_count + 63) / 64) {}
-
-  /// Appends an envelope to `to`'s mailbox (send accounting is the
-  /// caller's: it alone knows whether the message was dropped).
-  void Enqueue(PeerId from, PeerId to, std::optional<EdgeId> via,
-               uint64_t deliver_at, Payload payload);
-
-  AtomicTransportStats counters_;
-
  private:
   struct Mailbox {
     std::mutex mutex;
     std::vector<Envelope> queue;
   };
 
+  const uint64_t delay_ticks_;
   std::atomic<uint64_t> now_{0};
   std::vector<Mailbox> mailboxes_;
   /// Bit p set iff mailbox p is non-empty (maintained under its lock).
   std::vector<std::atomic<uint64_t>> mail_bits_;
+  AtomicTransportStats counters_;
   mutable TransportStats stats_snapshot_;
-};
-
-/// Zero-delay, lossless in-process transport: a message sent at tick t is
-/// deliverable at tick t. No configuration, no randomness — the fastest
-/// substrate for convergence-only workloads (discovery and inference need
-/// no tick-per-hop waiting) and the reference implementation for the
-/// Transport conformance contract.
-class InstantTransport final : public MailboxTransport {
- public:
-  explicit InstantTransport(size_t peer_count)
-      : MailboxTransport(peer_count) {}
-
-  std::string_view name() const override { return "instant"; }
-
-  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
-            Payload payload) override;
 };
 
 }  // namespace pdms

@@ -15,7 +15,6 @@
 #include "graph/topology.h"
 #include "mapping/mapping_generator.h"
 #include "net/fault_injection.h"
-#include "net/network.h"
 #include "pdms/pdms.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -67,15 +66,13 @@ Pdms MakeChurnPdms(uint64_t seed = 17, bool adversarial = false) {
     builder.WithByzantineGuard(guard).WithByzantinePlan(plan);
   }
   builder.WithTransport([](size_t peers, const EngineOptions&) {
-    NetworkOptions net;
-    net.seed = 99;
     FaultPlan plan;
     plan.seed = 4242;
     plan.duplicate_rate = 0.05;
     plan.reorder_rate = 0.10;
     plan.delay_ticks_max = 2;
     return std::unique_ptr<Transport>(std::make_unique<FaultInjectingTransport>(
-        std::make_unique<SimTransport>(peers, net), plan));
+        std::make_unique<SimTransport>(peers, NetworkOptions{}), plan));
   });
   for (int p = 0; p < 4; ++p) {
     builder.AddPeer(MakeSchema(StrFormat("p%d", p + 1)));

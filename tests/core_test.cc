@@ -6,6 +6,7 @@
 #include "factor/exact.h"
 #include "factor/sum_product.h"
 #include "graph/topology.h"
+#include "net/fault_injection.h"
 #include "pdms/pdms.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -24,13 +25,15 @@ struct IntroPdms {
   Pdms pdms;
 };
 
-IntroPdms MakeIntro(EngineOptions options, uint64_t seed = 17) {
+IntroPdms MakeIntro(EngineOptions options, uint64_t seed = 17,
+                    PdmsBuilder::TransportFactory transport = nullptr) {
   IntroPdms intro;
   Rng rng(seed);
   const Digraph graph = topology::ExampleGraph(&intro.edges);
   options.probe_ttl = 5;
   PdmsBuilder builder;
   builder.WithOptions(options);
+  if (transport) builder.WithTransport(std::move(transport));
   for (NodeId p = 0; p < 4; ++p) {
     Schema schema(StrFormat("p%u", p + 1));
     for (size_t a = 0; a < kAttrs; ++a) {
@@ -453,6 +456,26 @@ TEST(EngineScheduleTest, PeriodicRespectsPeriod) {
 
 // --- Fault tolerance (Section 5.1.3) ------------------------------------------------
 
+/// The intro network behind a fault layer that starts disarmed, so
+/// discovery runs fault-free; `ArmLoss` then drops belief envelopes — the
+/// paper's Figure 11 setup.
+IntroPdms MakeFaultyIntro(const EngineOptions& options) {
+  return MakeIntro(options, 17,
+                   [](size_t peers, const EngineOptions& engine_options) {
+                     return std::make_unique<FaultInjectingTransport>(
+                         std::make_unique<SimTransport>(
+                             peers, engine_options.network),
+                         FaultPlan{});
+                   });
+}
+
+void ArmLoss(Pdms& pdms, double drop_rate, uint64_t seed) {
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.drop_rate = drop_rate;
+  static_cast<FaultInjectingTransport&>(pdms.transport()).set_plan(plan);
+}
+
 TEST(EngineFaultTest, ConvergesUnderMessageLoss) {
   EngineOptions reliable;
   IntroPdms baseline = MakeIntro(reliable);
@@ -460,11 +483,9 @@ TEST(EngineFaultTest, ConvergesUnderMessageLoss) {
   const ConvergenceReport clean = baseline.pdms.session().Converge(400);
   ASSERT_TRUE(clean.converged);
 
-  EngineOptions lossy;
-  lossy.network.send_probability = 0.5;
-  lossy.network.seed = 99;
-  IntroPdms dropped = MakeIntro(lossy);
+  IntroPdms dropped = MakeFaultyIntro(EngineOptions{});
   dropped.pdms.session().Discover();
+  ArmLoss(dropped.pdms, 0.5, 99);
   const ConvergenceReport noisy = dropped.pdms.session().Converge(2000);
   EXPECT_TRUE(noisy.converged);
   EXPECT_GT(noisy.rounds, clean.rounds);
@@ -474,6 +495,78 @@ TEST(EngineFaultTest, ConvergesUnderMessageLoss) {
                   1e-3);
     }
   }
+}
+
+/// Every Converge round's residual and belief envelopes, in order.
+class RoundLog final : public RoundObserver {
+ public:
+  void OnRound(size_t /*round*/, const RoundReport& report,
+               const Session& /*session*/) override {
+    changes.push_back(report.max_posterior_change);
+    envelopes += report.belief_envelopes_sent;
+  }
+
+  /// Consecutive rounds below `tolerance` at the end of the run.
+  size_t TrailingQuietRounds(double tolerance) const {
+    size_t quiet = 0;
+    while (quiet < changes.size() &&
+           changes[changes.size() - 1 - quiet] < tolerance) {
+      ++quiet;
+    }
+    return quiet;
+  }
+
+  std::vector<double> changes;
+  uint64_t envelopes = 0;
+};
+
+TEST(EngineFaultTest, PatienceComesFromTheMeasuredLoss) {
+  constexpr size_t kBelief = static_cast<size_t>(MessageKind::kBelief);
+  const EngineOptions options;  // convergence_patience 0: measured
+  ASSERT_EQ(options.convergence_patience, 0u);
+
+  // Lossless: the run stops on its first quiet round.
+  IntroPdms clean = MakeFaultyIntro(options);
+  clean.pdms.session().Discover();
+  RoundLog clean_log;
+  clean.pdms.session().AddObserver(&clean_log);
+  const ConvergenceReport clean_report = clean.pdms.session().Converge(400);
+  ASSERT_TRUE(clean_report.converged);
+  ASSERT_EQ(clean_log.changes.size(), clean_report.rounds);
+  EXPECT_EQ(clean.pdms.transport().stats().dropped[kBelief], 0u);
+  EXPECT_EQ(clean_log.TrailingQuietRounds(options.tolerance), 1u);
+  for (size_t r = 0; r + 1 < clean_log.changes.size(); ++r) {
+    EXPECT_GE(clean_log.changes[r], options.tolerance) << "round " << r + 1;
+  }
+
+  // 40% of the belief envelopes dropped after a fault-free discovery: the
+  // converged run ends with at least ceil(3 / P(send)) quiet rounds, with
+  // P(send) the delivered share the transport's ledger measured.
+  IntroPdms lossy = MakeFaultyIntro(options);
+  lossy.pdms.session().Discover();
+  ArmLoss(lossy.pdms, 0.4, 5);
+  RoundLog lossy_log;
+  lossy.pdms.session().AddObserver(&lossy_log);
+  const ConvergenceReport lossy_report = lossy.pdms.session().Converge(2000);
+  ASSERT_TRUE(lossy_report.converged);
+  const uint64_t sent = lossy_log.envelopes;
+  const uint64_t dropped = lossy.pdms.transport().stats().dropped[kBelief];
+  ASSERT_GT(dropped, 0u);
+  ASSERT_LT(dropped, sent);
+  EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(sent), 0.4,
+              0.05);
+  const uint64_t delivered = sent - dropped;
+  const size_t patience = (3 * sent + delivered - 1) / delivered;  // ceil
+  EXPECT_GE(patience, 5u);
+  EXPECT_GE(lossy_log.TrailingQuietRounds(options.tolerance), patience);
+
+  // Nothing delivered: no number of quiet rounds is evidence.
+  IntroPdms silent = MakeFaultyIntro(options);
+  silent.pdms.session().Discover();
+  ArmLoss(silent.pdms, 1.0, 5);
+  const ConvergenceReport silent_report = silent.pdms.session().Converge(50);
+  EXPECT_FALSE(silent_report.converged);
+  EXPECT_EQ(silent_report.rounds, 50u);
 }
 
 // --- Churn ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "bench/bibliographic_pdms.h"
 #include "gtest/gtest.h"
 #include "net/fault_injection.h"
-#include "net/network.h"
 #include "net/socket_transport.h"
 #include "node/pdms_node.h"
 

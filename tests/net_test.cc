@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -7,7 +8,8 @@
 
 #include "net/codec.h"
 #include "net/message.h"
-#include "net/network.h"
+#include "net/fault_injection.h"
+#include "pdms/transport.h"
 #include "util/rng.h"
 
 namespace pdms {
@@ -281,41 +283,37 @@ TEST(SimTransportTest, FifoWithinPeer) {
   }
 }
 
-TEST(SimTransportTest, LossDropsBeliefMessagesOnly) {
-  NetworkOptions options;
-  options.send_probability = 0.0;
-  options.lose_belief_messages_only = true;
-  options.seed = 5;
-  SimTransport network(2, options);
+/// A `SimTransport` behind a fault layer running `plan`.
+FaultInjectingTransport LossyTransport(size_t peers, FaultPlan plan) {
+  return FaultInjectingTransport(
+      std::make_unique<SimTransport>(peers, NetworkOptions{}), plan);
+}
+
+TEST(FaultLossTest, DroppedEnvelopesAreExcludedFromBytes) {
+  FaultPlan drop_all;
+  drop_all.drop_rate = 1.0;
+  FaultInjectingTransport network = LossyTransport(2, drop_all);
   network.Send(0, 1, std::nullopt, MakeBelief());
+  network.set_plan(FaultPlan{});
   network.Send(0, 1, std::nullopt, ProbeMessage{});
   network.AdvanceTick();
   const auto due = network.Drain(1);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_TRUE(std::holds_alternative<ProbeMessage>(due[0].payload));
-  EXPECT_EQ(network.stats().dropped[static_cast<size_t>(MessageKind::kBelief)],
-            1u);
+  constexpr size_t kBelief = static_cast<size_t>(MessageKind::kBelief);
+  EXPECT_EQ(network.stats().sent[kBelief], 1u);
+  EXPECT_EQ(network.stats().dropped[kBelief], 1u);
   // Byte accounting excludes dropped envelopes: only the probe's bytes
   // (and none of the belief bundle's fingerprint bytes) are recorded.
   EXPECT_EQ(network.stats().bytes_sent, ApproximateWireSize(ProbeMessage{}));
   EXPECT_EQ(network.stats().key_bytes_sent, 0u);
 }
 
-TEST(SimTransportTest, LossCanAffectAllTraffic) {
-  NetworkOptions options;
-  options.send_probability = 0.0;
-  options.lose_belief_messages_only = false;
-  SimTransport network(2, options);
-  network.Send(0, 1, std::nullopt, ProbeMessage{});
-  network.AdvanceTick();
-  EXPECT_TRUE(network.Drain(1).empty());
-}
-
-TEST(SimTransportTest, LossRateIsApproximatelyRespected) {
-  NetworkOptions options;
-  options.send_probability = 0.3;
-  options.seed = 77;
-  SimTransport network(2, options);
+TEST(FaultLossTest, LossRateIsApproximatelyRespected) {
+  FaultPlan plan;
+  plan.seed = 77;
+  plan.drop_rate = 0.7;
+  FaultInjectingTransport network = LossyTransport(2, plan);
   const int kMessages = 20000;
   for (int i = 0; i < kMessages; ++i) {
     network.Send(0, 1, std::nullopt, MakeBelief());
@@ -949,23 +947,6 @@ TEST(FrameCodecTest, DataFramePayloadConsumesTheBodyExactly) {
   EXPECT_FALSE(assembler.Next().ok());
 }
 
-TEST(SimTransportTest, DeterministicLossForSeed) {
-  auto run = [] {
-    NetworkOptions options;
-    options.send_probability = 0.5;
-    options.seed = 9;
-    SimTransport network(2, options);
-    std::vector<bool> delivered;
-    for (int i = 0; i < 100; ++i) {
-      network.Send(0, 1, std::nullopt, MakeBelief());
-      network.AdvanceTick();
-      delivered.push_back(!network.Drain(1).empty());
-    }
-    return delivered;
-  };
-  EXPECT_EQ(run(), run());
-}
-
 // --- Mail bitmap -----------------------------------------------------------------
 
 /// Randomized sends, ticks and (possibly partial) drains against a model of
@@ -973,7 +954,7 @@ TEST(SimTransportTest, DeterministicLossForSeed) {
 /// equal a brute-force scan for the first non-empty mailbox >= from, for
 /// every `from`. 150 peers span three bitmap words, so word boundaries and
 /// the tail word are both exercised.
-void ExpectBitmapMatchesMailboxes(MailboxTransport& transport, uint64_t seed) {
+void ExpectBitmapMatchesMailboxes(SimTransport& transport, uint64_t seed) {
   const size_t peers = transport.peer_count();
   std::vector<size_t> queued(peers, 0);
   const auto check = [&](size_t step) {
@@ -1026,7 +1007,7 @@ void ExpectBitmapMatchesMailboxes(MailboxTransport& transport, uint64_t seed) {
 }
 
 TEST(MailBitmapTest, SimTransportBitmapNeverSkipsMail) {
-  for (const uint64_t delay : {1, 3}) {
+  for (const uint64_t delay : {0, 1, 3}) {
     SCOPED_TRACE(delay);
     NetworkOptions options;
     options.delay_ticks = delay;
@@ -1035,17 +1016,11 @@ TEST(MailBitmapTest, SimTransportBitmapNeverSkipsMail) {
   }
 }
 
-TEST(MailBitmapTest, InstantTransportBitmapNeverSkipsMail) {
-  InstantTransport transport(150);
-  ExpectBitmapMatchesMailboxes(transport, 41);
-}
-
 TEST(MailBitmapTest, LossyDropsNeverSetABit) {
   // A dropped message never reaches a mailbox, so it must not mark one.
-  NetworkOptions options;
-  options.send_probability = 0.0;
-  options.lose_belief_messages_only = false;
-  SimTransport transport(70, options);
+  FaultPlan drop_all;
+  drop_all.drop_rate = 1.0;
+  FaultInjectingTransport transport = LossyTransport(70, drop_all);
   for (PeerId p = 0; p < 70; ++p) transport.Send(0, p, std::nullopt, MakeBelief());
   EXPECT_EQ(transport.NextPeerWithMail(0), 70u);
   EXPECT_FALSE(transport.HasPendingMessages());

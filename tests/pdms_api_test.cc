@@ -1,8 +1,8 @@
 // Tests for the public API layer (pdms/): builder validation, the
-// Transport conformance contract shared by SimTransport and
-// InstantTransport, transport-equivalence of inference results and of
-// query reports, query dedup, the session observer hook, and the
-// Result<T> utilities it leans on.
+// Transport conformance contract shared by SimTransport (at delay 1 and
+// delay 0) and SocketTransport, transport-equivalence of inference
+// results and of query reports, query dedup, the session observer hook,
+// and the Result<T> utilities it leans on.
 
 #include <functional>
 #include <memory>
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/topology.h"
+#include "net/fault_injection.h"
 #include "net/socket_transport.h"
 #include "pdms/pdms.h"
 #include "util/rng.h"
@@ -278,7 +279,8 @@ INSTANTIATE_TEST_SUITE_P(
                       }},
         TransportCase{"instant",
                       [](size_t peers) -> std::unique_ptr<Transport> {
-                        return std::make_unique<InstantTransport>(peers);
+                        return std::make_unique<SimTransport>(
+                            peers, NetworkOptions{.delay_ticks = 0});
                       }},
         TransportCase{"socket",
                       [](size_t peers) -> std::unique_ptr<Transport> {
@@ -343,10 +345,11 @@ TEST(TransportEquivalenceTest, InstantNeedsNoTickPerHopForQueries) {
 /// Discovery + convergence on a symmetrized scale-free synthetic network,
 /// returning every (edge, attribute) posterior. `parallelism` must not
 /// change the result: peers only touch their own state during a round and
-/// the engine issues transport sends in canonical peer order, so even the
-/// lossy simulator draws the same drop sequence.
+/// the engine issues transport sends in canonical peer order, so even a
+/// fault layer dropping `drop_rate` of the belief envelopes (armed after
+/// discovery) draws the same drop sequence.
 std::vector<double> ConvergedPosteriorsOn(
-    size_t parallelism, double send_probability,
+    size_t parallelism, double drop_rate,
     PdmsBuilder::TransportFactory transport_factory,
     double value_budget = 0.0,
     const std::function<void(PdmsBuilder&)>& customize = nullptr) {
@@ -363,8 +366,6 @@ std::vector<double> ConvergedPosteriorsOn(
   options.probe_ttl = 3;
   options.closure_limits.min_cycle_length = 2;
   options.closure_limits.max_cycle_length = 3;
-  options.network.send_probability = send_probability;
-  options.network.seed = 7;
   options.parallelism = parallelism;
   // 24 peers would fall below the fan-out threshold and silently run
   // inline — force the pool so this test keeps exercising the actual
@@ -372,10 +373,27 @@ std::vector<double> ConvergedPosteriorsOn(
   options.min_peers_per_lane = 1;
   PdmsBuilder builder = PdmsBuilder::FromSynthetic(synthetic);
   builder.WithOptions(options).WithValueErrorBudget(value_budget);
+  FaultInjectingTransport* faults = nullptr;
+  if (drop_rate > 0.0) {
+    builder.WithTransport([&faults](size_t peers,
+                                    const EngineOptions& engine_options) {
+      auto transport = std::make_unique<FaultInjectingTransport>(
+          std::make_unique<SimTransport>(peers, engine_options.network),
+          FaultPlan{});
+      faults = transport.get();
+      return transport;
+    });
+  }
   if (transport_factory) builder.WithTransport(std::move(transport_factory));
   if (customize) customize(builder);
   Pdms pdms = builder.Build().value();
   EXPECT_GT(pdms.session().Discover(), 0u);
+  if (faults != nullptr) {
+    FaultPlan plan;
+    plan.seed = 7;
+    plan.drop_rate = drop_rate;
+    faults->set_plan(plan);
+  }
   pdms.session().Converge(60);
 
   std::vector<double> posteriors;
@@ -387,9 +405,8 @@ std::vector<double> ConvergedPosteriorsOn(
   return posteriors;
 }
 
-std::vector<double> ConvergedPosteriors(size_t parallelism,
-                                        double send_probability) {
-  return ConvergedPosteriorsOn(parallelism, send_probability, nullptr);
+std::vector<double> ConvergedPosteriors(size_t parallelism, double drop_rate) {
+  return ConvergedPosteriorsOn(parallelism, drop_rate, nullptr);
 }
 
 TEST(ParallelDeterminismTest, ParallelPosteriorsMatchSerialBitwise) {
@@ -398,18 +415,17 @@ TEST(ParallelDeterminismTest, ParallelPosteriorsMatchSerialBitwise) {
   // encoding must produce value-identical posteriors at every parallelism
   // level — including under lossy transport, where the drop draws depend
   // only on the (canonical) send sequence.
-  for (const double send_probability : {1.0, 0.6}) {
-    const std::vector<double> serial =
-        ConvergedPosteriors(1, send_probability);
+  for (const double drop_rate : {0.0, 0.4}) {
+    const std::vector<double> serial = ConvergedPosteriors(1, drop_rate);
     ASSERT_FALSE(serial.empty());
     for (const size_t parallelism : {2, 4, 8}) {
       const std::vector<double> parallel =
-          ConvergedPosteriors(parallelism, send_probability);
+          ConvergedPosteriors(parallelism, drop_rate);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(parallel[i], serial[i])
             << "posterior " << i << " at parallelism " << parallelism
-            << ", P(send)=" << send_probability;
+            << ", drop rate " << drop_rate;
       }
     }
   }
@@ -422,11 +438,11 @@ TEST(TransportEquivalenceTest, SocketMatchesSimPosteriorsBitwise) {
   // the posteriors must come back bitwise-identical at every parallelism
   // level — any codec round-trip wobble or delivery reordering shows up
   // here as a hard failure.
-  const std::vector<double> reference = ConvergedPosteriors(1, 1.0);
+  const std::vector<double> reference = ConvergedPosteriors(1, 0.0);
   ASSERT_FALSE(reference.empty());
   for (const size_t parallelism : {1, 2, 4, 8}) {
     const std::vector<double> socket = ConvergedPosteriorsOn(
-        parallelism, 1.0,
+        parallelism, 0.0,
         [](size_t peers, const EngineOptions&) -> std::unique_ptr<Transport> {
           return SocketTransport::CreateLoopback(peers);
         });
@@ -462,18 +478,18 @@ TEST(QuantizedValueTest, QuantizedRunsAreParallelDeterministicToo) {
   // ComputeRound, so quantized runs keep the bitwise parallel-determinism
   // guarantee — including under loss, where the coarse early bundles are
   // exactly what gets dropped.
-  for (const double send_probability : {1.0, 0.6}) {
+  for (const double drop_rate : {0.0, 0.4}) {
     const std::vector<double> serial =
-        ConvergedPosteriorsOn(1, send_probability, nullptr, 1e-3);
+        ConvergedPosteriorsOn(1, drop_rate, nullptr, 1e-3);
     ASSERT_FALSE(serial.empty());
     for (const size_t parallelism : {2, 8}) {
       const std::vector<double> parallel =
-          ConvergedPosteriorsOn(parallelism, send_probability, nullptr, 1e-3);
+          ConvergedPosteriorsOn(parallelism, drop_rate, nullptr, 1e-3);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(parallel[i], serial[i])
             << "posterior " << i << " at parallelism " << parallelism
-            << ", P(send)=" << send_probability;
+            << ", drop rate " << drop_rate;
       }
     }
   }
@@ -483,9 +499,9 @@ TEST(QuantizedValueTest, ConvergedPosteriorsStayWithinTheErrorBudget) {
   // The whole point of the explicit budget: against the exact raw-double
   // run, every converged posterior of the quantized run is within eps.
   constexpr double kBudget = 1e-3;
-  const std::vector<double> exact = ConvergedPosteriorsOn(1, 1.0, nullptr);
+  const std::vector<double> exact = ConvergedPosteriorsOn(1, 0.0, nullptr);
   const std::vector<double> quantized =
-      ConvergedPosteriorsOn(1, 1.0, nullptr, kBudget);
+      ConvergedPosteriorsOn(1, 0.0, nullptr, kBudget);
   ASSERT_EQ(quantized.size(), exact.size());
   double worst = 0.0;
   for (size_t i = 0; i < exact.size(); ++i) {
@@ -564,19 +580,19 @@ TEST(ByzantineGuardTest, GuardedAdversarialRunsAreParallelDeterministic) {
     plan.adversaries = {1, 5};
     builder.WithByzantineGuard(guard).WithByzantinePlan(plan);
   };
-  for (const double send_probability : {1.0, 0.6}) {
+  for (const double drop_rate : {0.0, 0.4}) {
     const std::vector<double> serial =
-        ConvergedPosteriorsOn(1, send_probability, nullptr, 0.0, arm);
+        ConvergedPosteriorsOn(1, drop_rate, nullptr, 0.0, arm);
     ASSERT_FALSE(serial.empty());
     for (const size_t parallelism : {2, 4}) {
       const std::vector<double> parallel =
-          ConvergedPosteriorsOn(parallelism, send_probability, nullptr, 0.0,
+          ConvergedPosteriorsOn(parallelism, drop_rate, nullptr, 0.0,
                                 arm);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(parallel[i], serial[i])
             << "posterior " << i << " at parallelism " << parallelism
-            << ", P(send)=" << send_probability;
+            << ", drop rate " << drop_rate;
       }
     }
   }
@@ -659,9 +675,9 @@ TEST(ByzantineGuardTest, ColludingNeighborsAreBothDemoted) {
 TEST(ByzantineGuardTest, GuardOffRunsIgnoreThePlanKnobsBitwise) {
   // With the guard disabled and no plan armed, setting the (default,
   // disabled) knobs explicitly must not perturb posteriors at all.
-  const std::vector<double> baseline = ConvergedPosteriors(1, 1.0);
+  const std::vector<double> baseline = ConvergedPosteriors(1, 0.0);
   const std::vector<double> with_knobs = ConvergedPosteriorsOn(
-      1, 1.0, nullptr, 0.0, [](PdmsBuilder& builder) {
+      1, 0.0, nullptr, 0.0, [](PdmsBuilder& builder) {
         builder.WithByzantineGuard(ByzantineGuardOptions{})
             .WithByzantinePlan(ByzantinePlan{});
       });
@@ -926,7 +942,8 @@ QueryStreamRun RunQueryStream(ScheduleKind schedule, bool instant,
           -> std::unique_ptr<Transport> {
         std::unique_ptr<Transport> transport;
         if (instant) {
-          transport = std::make_unique<InstantTransport>(peers);
+          transport = std::make_unique<SimTransport>(
+              peers, NetworkOptions{.delay_ticks = 0});
         } else {
           transport =
               std::make_unique<SimTransport>(peers, engine_options.network);
@@ -994,7 +1011,8 @@ void ExpectSameReports(const QueryStreamRun& expected,
 }
 
 TEST(QueryPlaneEquivalenceTest, MailIndexedDeliveryMatchesTheScanAllPath) {
-  EXPECT_EQ(ScanAllTransport(std::make_unique<InstantTransport>(3))
+  EXPECT_EQ(ScanAllTransport(std::make_unique<SimTransport>(
+                                3, NetworkOptions{.delay_ticks = 0}))
                 .NextPeerWithMail(1),
             1u);  // the default hook: "maybe mail" for every peer
   for (const ScheduleKind schedule :
