@@ -112,7 +112,7 @@ void DampingAblation() {
 
 void ClosureLengthAblation() {
   std::printf("D. closure length cap (BA(20,2), 20%% errors): evidence vs "
-              "cost\n");
+              "probes sent (forwarded only toward closures within the cap)\n");
   TextTable table;
   table.SetHeader({"max cycle len", "factors", "probes", "accuracy@0.5"});
   for (size_t cap : {3u, 4u, 5u, 6u}) {

@@ -78,7 +78,8 @@ void LazyOverhead() {
 }
 
 void DiscoveryCost() {
-  std::printf("discovery cost (probe flooding, TTL 5):\n");
+  std::printf("discovery cost (TTL-5 probes; the default closure limits "
+              "forward every simple walk):\n");
   TextTable table;
   table.SetHeader({"network", "peers", "mappings", "clustering", "probes",
                    "feedback msgs", "factors"});

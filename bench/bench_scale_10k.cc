@@ -27,7 +27,9 @@
 // The adversary sweep reruns the BA workload guarded with 0/1/5/10% of
 // peers lying per a seeded ByzantinePlan and gates on lying-link demotion
 // recall (>= 0.95), honest-subnetwork posterior drift (<= 0.25) and the
-// clean run's false-positive demotions (< 1%).
+// clean run's false-positive demotions (< 1%). The fault sweep fails the
+// run when a row reports convergence with a posterior error above 0.05
+// against the fault-free run.
 //
 // --smoke (CI mode) restricts to 1k peers, parallelism 1/2, 3 measured
 // rounds: fast enough for every PR, still end-to-end through discovery,
@@ -85,6 +87,11 @@ struct BenchResult {
   double speedup_vs_serial = 1.0;
   double max_posterior_diff_vs_serial = 0.0;
 };
+
+/// A fault-sweep row that reports `converged` must be within this of the
+/// fault-free posteriors; a larger error means convergence was declared
+/// before the lossy run reached the fixpoint.
+constexpr double kFaultErrorCeiling = 0.05;
 
 /// One point on the robustness curve: a `FaultPlan` applied to the belief
 /// rounds (discovery runs fault-free, mirroring Figure 11's setup where
@@ -808,6 +815,23 @@ int Main(int argc, char** argv) {
                 "clean false positives < 1%%\n");
   }
 
+  bool faults_ok = true;
+  for (const FaultRun& run : fault_runs) {
+    if (run.converged && run.max_posterior_error > kFaultErrorCeiling) {
+      std::fprintf(stderr,
+                   "FAIL: fault run drop %.2f dup %.2f reorder %.2f reports "
+                   "converged with posterior error %.3e (> %.2f)\n",
+                   run.drop_rate, run.duplicate_rate, run.reorder_rate,
+                   run.max_posterior_error, kFaultErrorCeiling);
+      faults_ok = false;
+    }
+  }
+  if (!fault_runs.empty() && faults_ok) {
+    std::printf("fault sweep: every converged run within %.2f of the "
+                "fault-free posteriors\n",
+                kFaultErrorCeiling);
+  }
+
   if (!deterministic) {
     std::fprintf(stderr,
                  "FAIL: parallel posteriors diverged from serial (> 1e-12)\n");
@@ -815,7 +839,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("determinism: all parallel runs matched serial posteriors "
               "(<= 1e-12)\n");
-  if (!wire_reduction_ok || !adversaries_ok) return 1;
+  if (!wire_reduction_ok || !adversaries_ok || !faults_ok) return 1;
   if (speedup_parallelism > 0) {
     double best = 0.0;
     for (const BenchResult& r : results) {

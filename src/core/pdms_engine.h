@@ -87,7 +87,7 @@ class PdmsEngine {
 
   // --- Closure discovery -----------------------------------------------------
 
-  /// Floods TTL probes from every peer and processes the resulting probe /
+  /// Sends TTL probes from every peer and processes the resulting probe /
   /// feedback traffic until the network is quiet. Returns the number of
   /// distinct factor replicas that exist across peers afterwards.
   size_t DiscoverClosures();

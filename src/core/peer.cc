@@ -30,6 +30,26 @@ Belief GuardDamped(const Belief& belief, double w) {
   return Belief{std::pow(belief.correct, w), std::pow(belief.incorrect, w)};
 }
 
+/// Whether a probe from `origin`, `hops` edges long, with `ttl` hops left,
+/// is worth sending on into `next`: the copy must still be able to take
+/// part in a closure this protocol announces. `origin_is_min` says no
+/// peer on the route so far has an id below the origin.
+bool ProbeHopUseful(const ClosureFinderOptions& limits, PeerId origin,
+                    bool origin_is_min, size_t hops, uint32_t ttl,
+                    NodeId next) {
+  // Pair: `next` caches the copy for parallel-path detection.
+  if (hops + 1 <= limits.max_path_length) return true;
+  // Only the smallest peer on a cycle announces it (`HandleProbe`).
+  if (!origin_is_min) return false;
+  // Close: the copy completes a cycle its origin announces.
+  if (next == origin) {
+    return hops + 1 >= limits.min_cycle_length &&
+           hops + 1 <= limits.max_cycle_length;
+  }
+  // Extend: a descendant can still close such a cycle in time.
+  return next > origin && hops + 2 <= limits.max_cycle_length && ttl >= 2;
+}
+
 }  // namespace
 
 uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank) {
@@ -1155,8 +1175,6 @@ Peer::Image Peer::CaptureImage() const {
   image.vars = vars_;
   image.announced.assign(announced_.begin(), announced_.end());
   std::sort(image.announced.begin(), image.announced.end());
-  image.seen_queries.assign(seen_queries_.begin(), seen_queries_.end());
-  std::sort(image.seen_queries.begin(), image.seen_queries.end());
   image.probe_cache.reserve(probe_cache_.size());
   for (const auto& [origin, probes] : probe_cache_) {
     image.probe_cache.emplace_back(origin, probes);
@@ -1227,7 +1245,6 @@ void Peer::RestoreImage(Image&& image) {
   announced_.clear();
   announced_.insert(image.announced.begin(), image.announced.end());
   seen_queries_.clear();
-  seen_queries_.insert(image.seen_queries.begin(), image.seen_queries.end());
   probe_cache_.clear();
   for (auto& [origin, probes] : image.probe_cache) {
     probe_cache_.emplace(origin, std::move(probes));
@@ -1243,6 +1260,11 @@ std::vector<Outgoing> Peer::StartProbes() const {
   const auto width = static_cast<uint32_t>(schema_.size());
   if (options_->probe_ttl == 0 || width == 0) return out;
   for (const auto& [edge, mapping] : mappings_) {
+    const NodeId next = graph_->edge(edge).dst;
+    if (!ProbeHopUseful(options_->closure_limits, id_, /*origin_is_min=*/true,
+                        /*hops=*/0, options_->probe_ttl, next)) {
+      continue;
+    }
     ProbeMessage probe;
     probe.origin = id_;
     probe.ttl = options_->probe_ttl - 1;
@@ -1253,14 +1275,15 @@ std::vector<Outgoing> Peer::StartProbes() const {
       probe.trail.push_back(mapping.Apply(a));
     }
     Outgoing& outgoing = out.emplace_back();
-    outgoing.to = graph_->edge(edge).dst;
+    outgoing.to = next;
     outgoing.via = edge;
     outgoing.payload = std::move(probe);
   }
   return out;
 }
 
-Status Peer::CheckProbe(const ProbeMessage& probe) const {
+Status Peer::CheckProbe(const ProbeMessage& probe,
+                        std::vector<NodeId>* nodes) const {
   if (probe.route.empty()) {
     return Status::InvalidArgument(StrFormat(
         "probe from peer %u reached peer %u with an empty route",
@@ -1273,25 +1296,27 @@ Status Peer::CheckProbe(const ProbeMessage& probe) const {
         probe.origin, probe.trail.size(), probe.route.size(), probe.width));
   }
   // The route must be a walk over this graph from the origin to here.
-  NodeId at = probe.origin;
+  nodes->clear();
+  nodes->reserve(probe.route.size() + 1);
+  nodes->push_back(probe.origin);
   for (EdgeId edge : probe.route) {
     if (edge >= graph_->edge_capacity()) {
       return Status::InvalidArgument(StrFormat(
           "probe from peer %u names edge %u outside the graph (%zu edges)",
           probe.origin, edge, graph_->edge_capacity()));
     }
-    if (graph_->edge(edge).src != at) {
+    if (graph_->edge(edge).src != nodes->back()) {
       return Status::InvalidArgument(StrFormat(
           "probe route from peer %u is not a walk: edge %u does not start at "
           "peer %u",
-          probe.origin, edge, at));
+          probe.origin, edge, nodes->back()));
     }
-    at = graph_->edge(edge).dst;
+    nodes->push_back(graph_->edge(edge).dst);
   }
-  if (at != id_) {
+  if (nodes->back() != id_) {
     return Status::InvalidArgument(StrFormat(
         "probe route from peer %u ends at peer %u, not at peer %u",
-        probe.origin, at, id_));
+        probe.origin, nodes->back(), id_));
   }
   return Status::Ok();
 }
@@ -1426,23 +1451,23 @@ void Peer::AnnounceToOwners(const FeedbackAnnouncement& announcement,
 std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
                                         Status* status) {
   std::vector<Outgoing> out;
-  Status checked = CheckProbe(probe);
+  std::vector<NodeId> nodes;  // origin, then every hop's destination
+  Status checked = CheckProbe(probe, &nodes);
   if (!checked.ok()) {
     if (status != nullptr) *status = std::move(checked);
     return out;
   }
   const auto& limits = options_->closure_limits;
+  const bool origin_is_min =
+      *std::min_element(nodes.begin(), nodes.end()) == probe.origin;
 
   if (probe.origin == id_) {
     // Cycle closed (Section 3.2.1). Only the minimum-id peer on the cycle
     // announces it: every peer's probe traverses the same physical cycle,
     // and rooting the factor at a canonical peer prevents the same
     // comparison from being double-counted as several factors.
-    const std::vector<NodeId> nodes = RouteNodes(probe.route);
-    const bool canonical_root =
-        *std::min_element(nodes.begin(), nodes.end()) == id_;
     const size_t length = probe.route.size();
-    if (canonical_root && length >= limits.min_cycle_length &&
+    if (origin_is_min && length >= limits.min_cycle_length &&
         length <= limits.max_cycle_length) {
       Closure closure;
       closure.kind = Closure::Kind::kCycle;
@@ -1502,18 +1527,21 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
     if (cache.size() < options_->max_cached_probes) cache.push_back(probe);
   }
 
-  // Forward (flooding with TTL, simple routes only).
-  const size_t max_route = std::max(limits.max_cycle_length,
-                                    limits.max_path_length);
-  if (probe.ttl == 0 || probe.route.size() >= max_route) return out;
-  const std::vector<NodeId> visited = RouteNodes(probe.route);
-  const size_t last_hop = probe.route.size() - 1;
+  // Forward along simple routes, and only where the copy can still take
+  // part in an announced closure (`ProbeHopUseful`).
+  if (probe.ttl == 0) return out;
+  const size_t hops = probe.route.size();
+  const size_t last_hop = hops - 1;
   for (const auto& [edge, mapping] : mappings_) {
     const NodeId next = graph_->edge(edge).dst;
+    if (!ProbeHopUseful(limits, probe.origin, origin_is_min, hops, probe.ttl,
+                        next)) {
+      continue;
+    }
     // Simple routes: never revisit an interior node; returning to the
     // origin is allowed (that closes a cycle).
     if (next != probe.origin &&
-        std::find(visited.begin(), visited.end(), next) != visited.end()) {
+        std::find(nodes.begin(), nodes.end(), next) != nodes.end()) {
       continue;
     }
     // Built at its exact final size: one route and one trail allocation.

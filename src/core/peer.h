@@ -253,11 +253,17 @@ class Peer {
 
   // --- Probes & discovery -----------------------------------------------------
 
-  /// Emits this peer's initial probes (one per outgoing mapping).
+  /// Emits this peer's initial probes: one per outgoing mapping whose
+  /// probe can take part in an announced closure (see `HandleProbe`).
   std::vector<Outgoing> StartProbes() const;
 
   /// Handles an arriving probe: may complete a cycle, detect parallel
   /// paths (announcing feedback to member owners), and forward the probe.
+  /// A copy goes on along a simple route only when it can still take part
+  /// in a closure this protocol announces: it is short enough to pair
+  /// (`max_path_length`), it closes a cycle of allowed length at an origin
+  /// that is the cycle's smallest peer, or it can still do so later.
+  /// Dropping the rest changes no closure, cache entry or message order.
   /// A malformed probe — empty route, a trail that is not one `width`-wide
   /// hop per route edge, or a route that is not a walk over this graph
   /// from its origin to this peer — is rejected before anything reads it:
@@ -396,7 +402,9 @@ class Peer {
   /// alias maps) are rebuilt deterministically by `RestoreImage`, so two
   /// peers restored from equal images are behaviorally identical, bit for
   /// bit. The document store is intentionally excluded: it is configured
-  /// at deployment time and never mutated by the protocol.
+  /// at deployment time and never mutated by the protocol. So are the
+  /// seen query ids: the engine forgets a batch's ids once the batch
+  /// quiesces, and images are only taken between batches.
   struct Image {
     std::vector<std::pair<EdgeId, SchemaMapping>> mappings;
     std::vector<Replica> replicas;
@@ -420,9 +428,6 @@ class Peer {
     /// rebuilt `var_index_` / `edge_vars_` iterate identically.
     std::vector<VarState> vars;
     std::vector<FactorId> announced;       ///< sorted
-    /// Sorted. Empty at every capture the engine makes: it forgets a
-    /// batch's ids once the batch quiesces (see `ForgetQuery`).
-    std::vector<uint64_t> seen_queries;
     /// Sorted by origin; each origin's probes in arrival order.
     std::vector<std::pair<PeerId, std::vector<ProbeMessage>>> probe_cache;
   };
@@ -488,8 +493,10 @@ class Peer {
   /// ∆ used by this peer when announcing feedback.
   double EffectiveDelta() const;
 
-  /// Ok when `probe` is well-formed for this peer (see `HandleProbe`).
-  Status CheckProbe(const ProbeMessage& probe) const;
+  /// Ok when `probe` is well-formed for this peer (see `HandleProbe`);
+  /// `*nodes` then holds the route's node sequence (see `RouteNodes`).
+  Status CheckProbe(const ProbeMessage& probe,
+                    std::vector<NodeId>* nodes) const;
 
   /// Per-attribute feedback for a closed cycle probe.
   std::vector<AttributeFeedback> CycleFeedback(const ProbeMessage& probe) const;

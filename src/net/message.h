@@ -173,9 +173,11 @@ struct AliasLink {
   AliasSessionRx rx;
 };
 
-/// A TTL-bounded probe flooded to discover cycles and parallel paths
+/// A TTL-bounded probe sent out to discover cycles and parallel paths
 /// (Section 3.2.1: "proactively flooding their neighborhood with probe
-/// messages with a certain Time-To-Live").
+/// messages with a certain Time-To-Live"). Peers forward a copy only
+/// where it can still take part in a closure they announce (see
+/// `Peer::HandleProbe`).
 ///
 /// The probe carries the transitive closure of the mapping operations it
 /// traversed: for every attribute of the origin's schema, its current

@@ -127,7 +127,7 @@ class PdmsNode {
   /// Dials every shard and waits for the links to establish.
   Status Connect() { return transport_->ConnectAll(); }
 
-  /// Distributed closure discovery: floods the local peers' probes and
+  /// Distributed closure discovery: starts the local peers' probes and
   /// tick-steps with per-step mark exchange until every shard reports a
   /// quiet step. Returns the number of distinct factor replicas held by
   /// the *local* peers afterwards.

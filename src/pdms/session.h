@@ -51,7 +51,7 @@ class Session {
 
   // --- Lifecycle -------------------------------------------------------------
 
-  /// Floods TTL probes from every peer and processes discovery traffic to
+  /// Sends TTL probes from every peer and processes discovery traffic to
   /// quiescence. Returns the number of distinct factor replicas known
   /// network-wide afterwards.
   size_t Discover();

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -199,7 +200,8 @@ Result<Payload> GetPayload(Reader& r) {
   return DecodePayload(static_cast<MessageKind>(kind), bytes);
 }
 
-void PutPeerImage(Writer& w, const Peer::Image& image) {
+void PutPeerImage(Writer& w, uint32_t format_version,
+                  const Peer::Image& image) {
   w.Varint(image.mappings.size());
   for (const auto& [edge, mapping] : image.mappings) {
     w.Fixed32(edge);
@@ -318,8 +320,7 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
 
   w.Varint(image.announced.size());
   for (const FactorId& id : image.announced) PutFactorId(w, id);
-  w.Varint(image.seen_queries.size());
-  for (uint64_t q : image.seen_queries) w.Fixed64(q);
+  if (format_version < 4) w.Varint(0);  // v3's seen query ids: none
 
   w.Varint(image.probe_cache.size());
   for (const auto& [origin, probes] : image.probe_cache) {
@@ -329,7 +330,7 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
   }
 }
 
-Status GetPeerImage(Reader& r, Peer::Image* image) {
+Status GetPeerImage(Reader& r, uint32_t format_version, Peer::Image* image) {
   const auto corrupt = [](const char* what) {
     return Status::DataLoss(
         StrFormat("snapshot peer image corrupt: %s", what));
@@ -472,8 +473,11 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
 
   image->announced.resize(r.Count(16));
   for (FactorId& id : image->announced) id = GetFactorId(r);
-  image->seen_queries.resize(r.Count(8));
-  for (uint64_t& q : image->seen_queries) q = r.Fixed64();
+  if (format_version < 4) {
+    // v3's seen query ids: finished queries, which never arrive again.
+    const size_t seen_queries = r.Count(8);
+    for (size_t i = 0; i < seen_queries; ++i) r.Fixed64();
+  }
 
   image->probe_cache.clear();
   const size_t origin_count = r.Count(4);
@@ -680,13 +684,16 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   return h;
 }
 
-std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot) {
+std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot,
+                                    uint32_t format_version) {
+  assert(format_version == kSnapshotFormatVersion ||
+         format_version == kOldestReadableSnapshotVersion);
   Writer payload;
   payload.Varint(snapshot.engine.edge_alive.size());
   for (const bool alive : snapshot.engine.edge_alive) payload.Bool(alive);
   payload.Varint(snapshot.engine.peers.size());
   for (const Peer::Image& peer : snapshot.engine.peers) {
-    PutPeerImage(payload, peer);
+    PutPeerImage(payload, format_version, peer);
   }
   payload.Fixed64(snapshot.engine.next_query_id);
   payload.Varint(snapshot.inbox.size());
@@ -696,7 +703,7 @@ std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot) {
 
   Writer file;
   file.Fixed64(kSnapshotMagic);
-  file.Fixed32(kSnapshotFormatVersion);
+  file.Fixed32(format_version);
   file.Fixed64(snapshot.state_epoch);
   file.Fixed64(snapshot.round);
   file.Fixed64(snapshot.tick);
@@ -728,10 +735,11 @@ Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes) {
   if (magic != kSnapshotMagic) {
     return Status::DataLoss("not a PDMS snapshot (bad magic)");
   }
-  if (version != kSnapshotFormatVersion) {
-    return Status::FailedPrecondition(
-        StrFormat("snapshot format version %u, this build reads %u", version,
-                  kSnapshotFormatVersion));
+  if (version < kOldestReadableSnapshotVersion ||
+      version > kSnapshotFormatVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "snapshot format version %u, this build reads %u to %u", version,
+        kOldestReadableSnapshotVersion, kSnapshotFormatVersion));
   }
   if (payload_size != header.remaining()) {
     return Status::DataLoss(
@@ -752,7 +760,7 @@ Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes) {
   const size_t peer_count = payload.Count(1);
   snapshot.engine.peers.resize(peer_count);
   for (Peer::Image& peer : snapshot.engine.peers) {
-    PDMS_RETURN_IF_ERROR(GetPeerImage(payload, &peer));
+    PDMS_RETURN_IF_ERROR(GetPeerImage(payload, version, &peer));
   }
   snapshot.engine.next_query_id = payload.Fixed64();
   const size_t inbox_count = payload.Count(29);

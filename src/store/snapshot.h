@@ -31,8 +31,9 @@
 
 namespace pdms {
 
-/// Bumped whenever the serialized layout changes incompatibly; loaders
-/// reject other versions rather than guessing.
+/// Bumped whenever the serialized layout changes; loaders read this
+/// version and `kOldestReadableSnapshotVersion`, and reject any other
+/// rather than guessing.
 ///
 /// v2: per-link `value_rank` (adaptive belief quantization tier) joins
 /// the link image, so a restored shard resumes its precision trajectory
@@ -42,7 +43,12 @@ namespace pdms {
 /// scores, demotion levels and violation counters, the per-slot
 /// admission histories, and the peer round clock — so demotion
 /// trajectories replay identically after a restore.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+///
+/// v4: the peer image drops its list of seen query ids, which was empty
+/// at every capture (the engine forgets a batch's ids once it quiesces).
+/// A v3 image still loads; its list is read and discarded.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
+inline constexpr uint32_t kOldestReadableSnapshotVersion = 3;
 
 /// Deterministic fingerprint of the deployment a snapshot belongs to:
 /// topology (nodes, every edge ever added, shard placement) plus the
@@ -78,10 +84,15 @@ struct NodeSnapshot {
 
 /// Serializes `snapshot` into the on-disk byte layout (header + CRC'd
 /// payload). Deterministic: identical snapshots encode identically.
-std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot);
+/// `format_version` may name `kOldestReadableSnapshotVersion` to write
+/// the previous layout instead; exposed for compatibility tests and
+/// tooling.
+std::vector<uint8_t> EncodeSnapshot(
+    const NodeSnapshot& snapshot,
+    uint32_t format_version = kSnapshotFormatVersion);
 
 /// Parses and fully validates an encoded snapshot. Rejects bad magic,
-/// unknown format versions, truncated input, trailing garbage and
+/// format versions it cannot read, truncated input, trailing garbage and
 /// payload CRC mismatches with a descriptive `Status`.
 Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes);
 

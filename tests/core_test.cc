@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -662,6 +664,171 @@ TEST_P(RandomNetworkEquivalence, EmbeddedMatchesCentralized) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetworkEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- Discovery against the closure oracle --------------------------------------------------
+
+struct DiscoveryLimits {
+  const char* name;
+  size_t min_cycle;
+  size_t max_cycle;
+  size_t max_path;
+  uint32_t ttl;
+};
+
+// Cycle-only configurations (`max_path` 1 pairs nothing on a simple graph)
+// and parallel-path ones; the TTL never cuts a closure the limits allow.
+constexpr DiscoveryLimits kDiscoveryLimits[] = {
+    {"cycles 2-3", 2, 3, 1, 3},
+    {"cycles 3-5", 3, 5, 1, 5},
+    {"cycles 2-4, ttl 6", 2, 4, 1, 6},
+    {"paths 2, cycles 3-4", 3, 4, 2, 4},
+    {"paths 3 = ttl", 3, 3, 3, 3},
+};
+
+/// Brute-force count of the probe sends one discovery makes: every simple
+/// walk from every origin, each hop sent when `admit(nodes, next, ttl)`
+/// holds, where `nodes` is the route so far (origin first) and `ttl` the
+/// hops the sender's copy may still take.
+uint64_t CountProbeSends(
+    const Digraph& graph, uint32_t probe_ttl,
+    const std::function<bool(const std::vector<NodeId>&, NodeId, uint32_t)>&
+        admit) {
+  uint64_t sends = 0;
+  std::vector<NodeId> nodes;
+  std::function<void(uint32_t)> walk = [&](uint32_t ttl) {
+    for (EdgeId e : graph.out_edges(nodes.back())) {
+      const NodeId next = graph.edge(e).dst;
+      if (next != nodes.front() &&
+          std::find(nodes.begin(), nodes.end(), next) != nodes.end()) {
+        continue;
+      }
+      if (!admit(nodes, next, ttl)) continue;
+      ++sends;
+      // A copy stops at its origin, and is not forwarded with no TTL left.
+      if (next == nodes.front() || ttl == 1) continue;
+      nodes.push_back(next);
+      walk(ttl - 1);
+      nodes.pop_back();
+    }
+  };
+  for (NodeId origin = 0; origin < graph.node_count(); ++origin) {
+    nodes = {origin};
+    walk(probe_ttl);
+  }
+  return sends;
+}
+
+TEST(DiscoveryOracleTest, FindsExactlyTheOracleClosuresWithPrunedProbes) {
+  constexpr size_t kOracleAttrs = 3;
+  struct NamedGraph {
+    std::string name;
+    Digraph graph;
+  };
+  std::vector<NamedGraph> graphs;
+  for (uint32_t seed : {1u, 2u}) {
+    Rng rng(seed);
+    Digraph er = topology::ErdosRenyi(30, 0.08, &rng);
+    Digraph er_sym = topology::ErdosRenyi(24, 0.06, &rng);
+    topology::Symmetrize(&er_sym);
+    Digraph ba = topology::BarabasiAlbert(40, 2, &rng);
+    Digraph ba_sym = topology::BarabasiAlbert(30, 2, &rng);
+    topology::Symmetrize(&ba_sym);
+    graphs.push_back({StrFormat("ER(30, 0.08) seed %u", seed), er});
+    graphs.push_back({StrFormat("symmetric ER(24, 0.06) seed %u", seed),
+                      er_sym});
+    graphs.push_back({StrFormat("BA(40, 2) seed %u", seed), ba});
+    graphs.push_back({StrFormat("symmetric BA(30, 2) seed %u", seed),
+                      ba_sym});
+  }
+
+  for (const NamedGraph& named : graphs) {
+    const Digraph& graph = named.graph;
+    for (const DiscoveryLimits& limits : kDiscoveryLimits) {
+      SCOPED_TRACE(named.name + ", " + limits.name);
+      Rng rng(7);
+      MappingNetworkOptions network_options;
+      network_options.attributes_per_schema = kOracleAttrs;
+      const SyntheticPdms synthetic =
+          BuildSyntheticPdms(graph, network_options, &rng);
+      EngineOptions options;
+      options.probe_ttl = limits.ttl;
+      options.closure_limits.min_cycle_length = limits.min_cycle;
+      options.closure_limits.max_cycle_length = limits.max_cycle;
+      options.closure_limits.max_path_length = limits.max_path;
+      Result<Pdms> built =
+          PdmsBuilder::FromSynthetic(synthetic).WithOptions(options).Build();
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      Pdms pdms = std::move(built).value();
+      pdms.session().Discover();
+
+      // Every closure the oracle enumerates, one factor per root attribute;
+      // parallel pairs put the lexicographically smaller path first, as the
+      // announcing peer does.
+      std::set<FactorId> expected;
+      auto add = [&](const Closure& closure) {
+        for (AttributeId a = 0; a < kOracleAttrs; ++a) {
+          expected.insert(FactorId::Make(closure, a));
+        }
+      };
+      for (const Closure& cycle :
+           FindDirectedCycles(graph, options.closure_limits)) {
+        add(cycle);
+      }
+      for (Closure pair : FindParallelPaths(graph, options.closure_limits)) {
+        const std::vector<EdgeId> first(pair.edges.begin(),
+                                        pair.edges.begin() + pair.split);
+        const std::vector<EdgeId> second(pair.edges.begin() + pair.split,
+                                         pair.edges.end());
+        if (second < first) {
+          pair.edges = second;
+          pair.edges.insert(pair.edges.end(), first.begin(), first.end());
+          pair.split = second.size();
+        }
+        add(pair);
+      }
+      std::set<FactorId> discovered;
+      for (PeerId p = 0; p < pdms.peer_count(); ++p) {
+        for (const Peer::ReplicaView& view : pdms.peer(p).ReplicaViews()) {
+          discovered.insert(view.id);
+        }
+      }
+      EXPECT_EQ(discovered, expected);
+
+      // A hop is sent when its copy can still be cached for pairing, close
+      // a cycle its origin (the smallest peer on it) announces, or extend
+      // toward one.
+      const auto forwarded = [&](const std::vector<NodeId>& nodes,
+                                 NodeId next, uint32_t ttl) {
+        const size_t hops = nodes.size() - 1;
+        const NodeId origin = nodes.front();
+        if (hops + 1 <= limits.max_path) return true;
+        if (*std::min_element(nodes.begin(), nodes.end()) != origin) {
+          return false;
+        }
+        if (next == origin) {
+          return hops + 1 >= limits.min_cycle && hops + 1 <= limits.max_cycle;
+        }
+        return next > origin && hops + 2 <= limits.max_cycle && ttl >= 2;
+      };
+      // Flooding: every simple walk up to the longest closure.
+      const size_t max_route = std::max(limits.max_cycle, limits.max_path);
+      const auto flooded = [&](const std::vector<NodeId>& nodes, NodeId,
+                               uint32_t) { return nodes.size() <= max_route; };
+      const uint64_t admitted = CountProbeSends(graph, limits.ttl, forwarded);
+      const uint64_t flooding = CountProbeSends(graph, limits.ttl, flooded);
+      const uint64_t sent = pdms.transport().stats().sent[static_cast<size_t>(
+          MessageKind::kProbe)];
+      EXPECT_EQ(sent, admitted);
+      if (limits.max_path >= limits.ttl) {
+        EXPECT_EQ(admitted, flooding);
+      } else if (limits.max_path <= 1) {
+        EXPECT_LT(admitted, flooding);
+      } else {
+        EXPECT_LE(admitted, flooding);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pdms

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +73,11 @@ TEST(PdmsNodeTest, TwoShardsMatchSingleProcessBitwise) {
   // Reference: the exact same workload on the in-process simulator.
   bench::BibliographicPdms reference =
       bench::MakeBibliographicPdms(WorkloadOptions());
-  ASSERT_GT(reference.pdms.session().Discover(), 0u);
+  const size_t reference_factors = reference.pdms.session().Discover();
+  ASSERT_GT(reference_factors, 0u);
+  constexpr auto kProbe = static_cast<size_t>(MessageKind::kProbe);
+  const uint64_t reference_probes =
+      reference.pdms.transport().stats().sent[kProbe];
   reference.pdms.session().Converge(kRounds);
 
   NodeOptions node_options;
@@ -119,6 +124,23 @@ TEST(PdmsNodeTest, TwoShardsMatchSingleProcessBitwise) {
   EXPECT_GT(runs[1].replicas, 0u);
   // Lockstep marks force both shards through the identical round schedule.
   EXPECT_EQ(runs[0].report.rounds, runs[1].report.rounds);
+
+  // Discovery forwards the same probes whichever shard hosts the sender,
+  // so the shards' sends add up to the in-process run's, and together
+  // they hold every factor it found.
+  EXPECT_EQ(node0->transport().stats().sent[kProbe] +
+                node1->transport().stats().sent[kProbe],
+            reference_probes);
+  std::set<FactorId> shard_factors;
+  for (PdmsNode* node : {node0.get(), node1.get()}) {
+    for (PeerId p = 0; p < node->pdms().peer_count(); ++p) {
+      if (!node->transport().IsLocalPeer(p)) continue;
+      for (const Peer::ReplicaView& view : node->pdms().peer(p).ReplicaViews()) {
+        shard_factors.insert(view.id);
+      }
+    }
+  }
+  EXPECT_EQ(shard_factors.size(), reference_factors);
 
   // Every live edge is owned (posterior-wise) by its source peer's shard;
   // whichever node hosts that peer must agree with the reference bitwise.

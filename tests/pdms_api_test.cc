@@ -846,7 +846,6 @@ TEST(QueryDedupTest, FinishedQueryIdsAreForgottenOnEveryPeer) {
     for (uint64_t id = first_id; id < image.next_query_id; ++id) {
       ASSERT_FALSE(pdms.peer(p).SawQuery(id)) << "peer " << p << " id " << id;
     }
-    EXPECT_TRUE(image.peers[p].seen_queries.empty()) << "peer " << p;
   }
 }
 
@@ -865,6 +864,7 @@ TEST(QueryDedupTest, BatchOverACycleReachesEachPeerAtMostOnce) {
       requests.push_back(QueryRequest{origin, query, 5});
     }
   }
+  const uint64_t first_id = pdms.engine().CaptureImage().next_query_id;
   const std::vector<QueryReport> reports = pdms.session().QueryAll(requests);
   ASSERT_EQ(reports.size(), requests.size());
   uint64_t messages = 0;
@@ -878,7 +878,9 @@ TEST(QueryDedupTest, BatchOverACycleReachesEachPeerAtMostOnce) {
   }
   EXPECT_GT(messages, visits);  // some copies arrived twice and were dropped
   for (PeerId p = 0; p < pdms.peer_count(); ++p) {
-    EXPECT_TRUE(pdms.engine().CaptureImage().peers[p].seen_queries.empty());
+    for (uint64_t id = first_id; id < first_id + requests.size(); ++id) {
+      EXPECT_FALSE(pdms.peer(p).SawQuery(id)) << "peer " << p << " id " << id;
+    }
   }
 }
 

@@ -207,6 +207,45 @@ TEST(SnapshotCodecTest, RejectsPayloadCorruption) {
   EXPECT_FALSE(DecodeSnapshot(trailing).ok());
 }
 
+TEST(SnapshotCodecTest, RestoresPreviousVersionImage) {
+  Pdms pdms = MakeIntroPdms();
+  const NodeSnapshot snapshot = MakeSnapshot(pdms);
+  const std::vector<uint8_t> current = EncodeSnapshot(snapshot);
+  const std::vector<uint8_t> previous =
+      EncodeSnapshot(snapshot, kOldestReadableSnapshotVersion);
+  ASSERT_EQ(previous[8], kOldestReadableSnapshotVersion);
+  // The previous layout differs only by each peer's (empty) list of seen
+  // query ids: one zero-count varint per peer.
+  EXPECT_EQ(previous.size(), current.size() + snapshot.engine.peers.size());
+
+  Result<NodeSnapshot> decoded = DecodeSnapshot(previous);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(EncodeSnapshot(decoded.value()), current);
+
+  // Fresh deployments restored from the old and the current image start
+  // at the captured posteriors and carry on identically.
+  Result<NodeSnapshot> decoded_current = DecodeSnapshot(current);
+  ASSERT_TRUE(decoded_current.ok());
+  Pdms from_previous = MakeIntroPdms();
+  Pdms from_current = MakeIntroPdms();
+  from_previous.engine().RestoreImage(std::move(decoded.value().engine));
+  from_current.engine().RestoreImage(
+      std::move(decoded_current.value().engine));
+  for (int round = 0; round <= 3; ++round) {
+    for (EdgeId e : pdms.graph().LiveEdges()) {
+      for (AttributeId a = 0; a < kAttrs; ++a) {
+        if (round == 0) {
+          ASSERT_EQ(from_previous.Posterior(e, a), pdms.Posterior(e, a));
+        }
+        ASSERT_EQ(from_previous.Posterior(e, a), from_current.Posterior(e, a))
+            << "round " << round << " edge " << e << " attribute " << a;
+      }
+    }
+    from_previous.session().Step();
+    from_current.session().Step();
+  }
+}
+
 // --- SnapshotStore -----------------------------------------------------------
 
 TEST(SnapshotStoreTest, LoadsHighestRoundAcrossSlots) {

@@ -20,13 +20,16 @@ A zero baseline (e.g. key_bytes_per_round once alias negotiation settles)
 is a hard floor: any nonzero current value counts as an unbounded
 regression rather than being silently skipped.
 
-When both files carry an `adversary_runs` section (schema v6+), the
-Byzantine-resilience floors are additionally re-checked on the CURRENT
-file regardless of the baseline: every adversarial row must keep
-demotion recall >= 0.95 and honest_posterior_delta <= 0.25, and the
-clean guarded row must keep false_positive_rate < 0.01. A current file
-that *dropped* the section while the baseline had it is an error — the
-resilience sweep must not silently disappear.
+Two absolute floors are additionally re-checked on the CURRENT file
+regardless of the baseline:
+  - `adversary_runs` (schema v6+): every adversarial row must keep
+    demotion recall >= 0.95 and honest_posterior_delta <= 0.25, and the
+    clean guarded row must keep false_positive_rate < 0.01;
+  - `fault_runs` (schema v4+): every row that reports `converged` must
+    keep max_posterior_error <= 0.05 against the fault-free run.
+A current file that *dropped* (or emptied) either section while the
+baseline has rows in it is an error — a sweep must not silently
+disappear.
 """
 
 import argparse
@@ -55,23 +58,50 @@ def load_configs(path, peers_filter, parallelism_filter):
 RECALL_FLOOR = 0.95
 HONEST_DELTA_CEILING = 0.25
 FALSE_POSITIVE_CEILING = 0.01
+FAULT_ERROR_CEILING = 0.05
+
+
+def section_rows(name, base_data, cur_data):
+    """The CURRENT file's `name` rows, or None when the baseline has rows
+    there that CURRENT dropped (reported as a failure)."""
+    cur_runs = cur_data.get(name) or []
+    if not cur_runs and base_data.get(name):
+        print(f"[FAIL] baseline has {name} but current dropped the section")
+        return None
+    return cur_runs
+
+
+def check_fault_runs(base_data, cur_data):
+    """Converged fault-sweep rows must be within the error ceiling.
+
+    Returns the number of failures.
+    """
+    cur_runs = section_rows("fault_runs", base_data, cur_data)
+    if cur_runs is None:
+        return 1
+    failures = 0
+    for run in cur_runs:
+        if not run.get("converged", False):
+            continue
+        error = run.get("max_posterior_error", 0.0)
+        verdict = "FAIL" if error > FAULT_ERROR_CEILING else "ok"
+        print(f"[{verdict}] fault run drop {run.get('drop_rate', 0.0):.2f} "
+              f"dup {run.get('duplicate_rate', 0.0):.2f} "
+              f"reorder {run.get('reorder_rate', 0.0):.2f}: converged with "
+              f"posterior error {error:.2e} (<= {FAULT_ERROR_CEILING} "
+              f"required)")
+        failures += verdict == "FAIL"
+    return failures
 
 
 def check_adversary_runs(base_data, cur_data):
     """Absolute Byzantine-resilience floors on the current file.
 
-    Returns the number of failures (0 = all floors hold or the section is
-    legitimately absent from both files).
+    Returns the number of failures.
     """
-    base_runs = base_data.get("adversary_runs")
-    cur_runs = cur_data.get("adversary_runs")
+    cur_runs = section_rows("adversary_runs", base_data, cur_data)
     if cur_runs is None:
-        if base_runs:
-            print("[FAIL] baseline has adversary_runs but current dropped "
-                  "the section")
-            return 1
-        return 0
-
+        return 1
     failures = 0
     for run in cur_runs:
         fraction = run.get("byzantine_fraction", 0.0)
@@ -155,12 +185,15 @@ def main():
               f"(regression {delta:+.1%}, tolerance +{args.tolerance:.0%})")
 
     adversary_failures = check_adversary_runs(base_data, cur_data)
-    if failures or adversary_failures:
+    fault_failures = check_fault_runs(base_data, cur_data)
+    if failures or adversary_failures or fault_failures:
         if failures:
             print(f"{failures}/{len(matched)} configs regressed on "
                   f"'{args.metric}'")
         if adversary_failures:
             print(f"{adversary_failures} Byzantine-resilience floors broken")
+        if fault_failures:
+            print(f"{fault_failures} fault-sweep error floors broken")
         return 1
     print(f"all {len(matched)} matched configs within tolerance")
     return 0
