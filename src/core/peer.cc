@@ -1451,7 +1451,7 @@ void Peer::AnnounceToOwners(const FeedbackAnnouncement& announcement,
 std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
                                         Status* status) {
   std::vector<Outgoing> out;
-  std::vector<NodeId> nodes;  // origin, then every hop's destination
+  std::vector<NodeId>& nodes = route_scratch_;
   Status checked = CheckProbe(probe, &nodes);
   if (!checked.ok()) {
     if (status != nullptr) *status = std::move(checked);

@@ -668,6 +668,9 @@ class Peer {
   /// Round scratch (prefix/suffix message products), reused across rounds.
   std::vector<Belief> prefix_scratch_;
   std::vector<Belief> suffix_scratch_;
+  /// Probe scratch: the route's node sequence (origin, then every hop's
+  /// destination), reused across probes.
+  std::vector<NodeId> route_scratch_;
 
   /// Closures this peer has already announced (dedup).
   std::unordered_set<FactorId, FactorIdHash> announced_;

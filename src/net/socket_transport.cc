@@ -373,26 +373,27 @@ bool SocketTransport::BarrierSatisfied() const {
          loopback_received_.load(std::memory_order_acquire);
 }
 
-Status SocketTransport::AdvanceTickWithStatus() {
-  Status result;
-  {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    const bool quiesced = barrier_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.barrier_timeout_ms), [this] {
-          return loop_failed_.load(std::memory_order_acquire) ||
-                 BarrierSatisfied();
-        });
-    if (loop_failed_.load(std::memory_order_acquire)) {
-      result = loop_error();
-    } else if (!quiesced) {
-      result = Status::DeadlineExceeded(StrFormat(
-          "tick barrier: %llu self-addressed frames undelivered after %dms",
-          static_cast<unsigned long long>(
-              loopback_sent_.load(std::memory_order_acquire) -
-              loopback_received_.load(std::memory_order_acquire)),
-          options_.barrier_timeout_ms));
-    }
+Status SocketTransport::AwaitLoopback() {
+  std::unique_lock<std::mutex> lock(barrier_mutex_);
+  const bool quiesced = barrier_cv_.wait_for(
+      lock, std::chrono::milliseconds(options_.barrier_timeout_ms), [this] {
+        return loop_failed_.load(std::memory_order_acquire) ||
+               BarrierSatisfied();
+      });
+  if (loop_failed_.load(std::memory_order_acquire)) return loop_error();
+  if (!quiesced) {
+    return Status::DeadlineExceeded(StrFormat(
+        "tick barrier: %llu self-addressed frames undelivered after %dms",
+        static_cast<unsigned long long>(
+            loopback_sent_.load(std::memory_order_acquire) -
+            loopback_received_.load(std::memory_order_acquire)),
+        options_.barrier_timeout_ms));
   }
+  return Status::Ok();
+}
+
+Status SocketTransport::AdvanceTickWithStatus() {
+  Status result = AwaitLoopback();
   if (!result.ok()) {
     std::lock_guard<std::mutex> lock(error_mutex_);
     if (barrier_status_.ok()) barrier_status_ = result;

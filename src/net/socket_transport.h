@@ -162,6 +162,12 @@ class SocketTransport final : public Transport {
   /// choose between aborting and limping on).
   Status AdvanceTickWithStatus();
 
+  /// The tick barrier without the tick: blocks until every self-addressed
+  /// frame sent so far sits in its inbox. Same errors as
+  /// `AdvanceTickWithStatus`, but neither the clock nor the sticky
+  /// `barrier_status()` changes.
+  Status AwaitLoopback();
+
   /// First barrier timeout observed (sticky), or OK. Lets drivers using
   /// the plain `Transport` interface detect a degraded clock after the
   /// fact.

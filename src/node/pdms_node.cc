@@ -530,6 +530,14 @@ void PdmsNode::CaptureCut(uint64_t round, uint64_t quiet,
                           const ConvergenceReport& report) {
   const bool ring = options_.rejoin_grace_ms > 0;
   if (store_ == nullptr && !ring) return;
+  // Round-`round` frames between local peers ride the event loop, and the
+  // shard barrier the caller crossed does not wait for them: the cut must.
+  const Status delivered = transport_->AwaitLoopback();
+  if (!delivered.ok()) {
+    PDMS_LOG_WARNING << "no cut for round " << round << ": "
+                     << delivered.message();
+    return;
+  }
   NodeSnapshot cut;
   cut.state_epoch = state_epoch_;
   cut.round = round;

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <bit>
-#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -200,8 +199,7 @@ Result<Payload> GetPayload(Reader& r) {
   return DecodePayload(static_cast<MessageKind>(kind), bytes);
 }
 
-void PutPeerImage(Writer& w, uint32_t format_version,
-                  const Peer::Image& image) {
+void PutPeerImage(Writer& w, const Peer::Image& image) {
   w.Varint(image.mappings.size());
   for (const auto& [edge, mapping] : image.mappings) {
     w.Fixed32(edge);
@@ -320,7 +318,6 @@ void PutPeerImage(Writer& w, uint32_t format_version,
 
   w.Varint(image.announced.size());
   for (const FactorId& id : image.announced) PutFactorId(w, id);
-  if (format_version < 4) w.Varint(0);  // v3's seen query ids: none
 
   w.Varint(image.probe_cache.size());
   for (const auto& [origin, probes] : image.probe_cache) {
@@ -684,16 +681,13 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   return h;
 }
 
-std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot,
-                                    uint32_t format_version) {
-  assert(format_version == kSnapshotFormatVersion ||
-         format_version == kOldestReadableSnapshotVersion);
+std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot) {
   Writer payload;
   payload.Varint(snapshot.engine.edge_alive.size());
   for (const bool alive : snapshot.engine.edge_alive) payload.Bool(alive);
   payload.Varint(snapshot.engine.peers.size());
   for (const Peer::Image& peer : snapshot.engine.peers) {
-    PutPeerImage(payload, format_version, peer);
+    PutPeerImage(payload, peer);
   }
   payload.Fixed64(snapshot.engine.next_query_id);
   payload.Varint(snapshot.inbox.size());
@@ -703,7 +697,7 @@ std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot,
 
   Writer file;
   file.Fixed64(kSnapshotMagic);
-  file.Fixed32(format_version);
+  file.Fixed32(kSnapshotFormatVersion);
   file.Fixed64(snapshot.state_epoch);
   file.Fixed64(snapshot.round);
   file.Fixed64(snapshot.tick);

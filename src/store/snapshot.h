@@ -84,12 +84,7 @@ struct NodeSnapshot {
 
 /// Serializes `snapshot` into the on-disk byte layout (header + CRC'd
 /// payload). Deterministic: identical snapshots encode identically.
-/// `format_version` may name `kOldestReadableSnapshotVersion` to write
-/// the previous layout instead; exposed for compatibility tests and
-/// tooling.
-std::vector<uint8_t> EncodeSnapshot(
-    const NodeSnapshot& snapshot,
-    uint32_t format_version = kSnapshotFormatVersion);
+std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot);
 
 /// Parses and fully validates an encoded snapshot. Rejects bad magic,
 /// format versions it cannot read, truncated input, trailing garbage and

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -208,35 +209,41 @@ TEST(SnapshotCodecTest, RejectsPayloadCorruption) {
 }
 
 TEST(SnapshotCodecTest, RestoresPreviousVersionImage) {
-  Pdms pdms = MakeIntroPdms();
-  const NodeSnapshot snapshot = MakeSnapshot(pdms);
-  const std::vector<uint8_t> current = EncodeSnapshot(snapshot);
-  const std::vector<uint8_t> previous =
-      EncodeSnapshot(snapshot, kOldestReadableSnapshotVersion);
+  // `MakeSnapshot(MakeIntroPdms())` as the v3 encoder wrote it, before the
+  // peer image dropped its (always empty) list of seen query ids. Frozen:
+  // no build writes v3 any more.
+  std::ifstream in(PDMS_TEST_DATA_DIR "/intro_snapshot_v3.pdms",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<uint8_t> previous((std::istreambuf_iterator<char>(in)),
+                                      std::istreambuf_iterator<char>());
   ASSERT_EQ(previous[8], kOldestReadableSnapshotVersion);
-  // The previous layout differs only by each peer's (empty) list of seen
-  // query ids: one zero-count varint per peer.
-  EXPECT_EQ(previous.size(), current.size() + snapshot.engine.peers.size());
 
   Result<NodeSnapshot> decoded = DecodeSnapshot(previous);
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(EncodeSnapshot(decoded.value()), current);
-
-  // Fresh deployments restored from the old and the current image start
-  // at the captured posteriors and carry on identically.
+  const size_t peers = decoded.value().engine.peers.size();
+  ASSERT_EQ(peers, 4u);
+  // Re-encoding writes the current layout: one zero-count varint fewer
+  // per peer, and nothing else lost.
+  const std::vector<uint8_t> current = EncodeSnapshot(decoded.value());
+  EXPECT_EQ(current[8], kSnapshotFormatVersion);
+  EXPECT_EQ(current.size(), previous.size() - peers);
   Result<NodeSnapshot> decoded_current = DecodeSnapshot(current);
   ASSERT_TRUE(decoded_current.ok());
+  EXPECT_EQ(EncodeSnapshot(decoded_current.value()), current);
+
+  // Fresh deployments restored from the old and the current image start
+  // at the same posteriors and carry on identically.
   Pdms from_previous = MakeIntroPdms();
   Pdms from_current = MakeIntroPdms();
   from_previous.engine().RestoreImage(std::move(decoded.value().engine));
   from_current.engine().RestoreImage(
       std::move(decoded_current.value().engine));
+  // The captured state is the converged one: m24 garbles attribute 0.
+  EXPECT_LT(from_previous.Posterior(EdgeId{4}, 0), 0.5);
   for (int round = 0; round <= 3; ++round) {
-    for (EdgeId e : pdms.graph().LiveEdges()) {
+    for (EdgeId e : from_previous.graph().LiveEdges()) {
       for (AttributeId a = 0; a < kAttrs; ++a) {
-        if (round == 0) {
-          ASSERT_EQ(from_previous.Posterior(e, a), pdms.Posterior(e, a));
-        }
         ASSERT_EQ(from_previous.Posterior(e, a), from_current.Posterior(e, a))
             << "round " << round << " edge " << e << " attribute " << a;
       }
