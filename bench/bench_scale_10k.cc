@@ -418,7 +418,7 @@ AdversaryRun RunAdversaryConfig(const SyntheticPdms& workload,
   for (PeerId p = 0; p < peers; ++p) {
     if (is_adversary(p)) continue;
     for (const Peer::GuardLinkView& view : pdms.peer(p).GuardViews()) {
-      const bool demoted = view.demote_level >= 1;
+      const bool demoted = view.state.demote_level >= 1;
       if (is_adversary(view.peer)) {
         ++run.lying_links;
         if (demoted) ++run.demoted_lying_links;

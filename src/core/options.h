@@ -33,21 +33,16 @@ enum class Granularity : uint8_t {
 /// bounded per-value error for a multiple-times smaller steady-state
 /// wire footprint. Off by default — posteriors stay bitwise-identical to
 /// the unquantized engine unless a budget is set.
+///
+/// Precision adapts to convergence: links start coarse (a step of ~8ε
+/// while residuals exceed 64ε) and step up monotonically to the fine tier
+/// as the peer's residual shrinks (see `ValueRankTarget`).
 struct ValuePrecisionOptions {
   /// Maximum tolerated per-value log-odds error ε. 0 (default) disables
   /// quantization entirely (raw IEEE doubles on the wire). The finest
-  /// adaptive tier uses `ValueBitsForBudget(ε)` fractional bits, i.e. a
+  /// tier uses `ValueBitsForBudget(ε)` fractional bits, i.e. a
   /// quantization step of at most ε/8.
   double error_budget = 0.0;
-  /// Adapt precision to convergence: links start coarse (budget-relative
-  /// step of ~8ε while residuals exceed 64ε) and step up monotonically to
-  /// the fine tier as the peer's residual shrinks. When false, every
-  /// bundle uses the fine tier from the first round.
-  bool adaptive = true;
-  /// Step converged links (residual below `EngineOptions::tolerance`) all
-  /// the way back to exact raw doubles, spending wire bytes to pin the
-  /// fixpoint once traffic is cheap.
-  bool exact_at_convergence = false;
 };
 
 /// Byzantine-resilient belief admission (off by default). When enabled,
@@ -55,56 +50,19 @@ struct ValuePrecisionOptions {
 /// replica state — finite normalizable measures, values consistent with
 /// the bundle's declared quantization tier, no same-round equivocation —
 /// and each neighbor link carries a decaying misbehavior score fed by
-/// admission rejections, oscillation beyond a configurable bound, and
-/// posterior-influence outliers. Crossing `soft_threshold` demotes the
-/// link (absorbed beliefs damped toward uniform); crossing
-/// `hard_threshold` quarantines it (bundles dropped entirely). Demotions
-/// are sticky and replay deterministically from round-ordered evidence,
-/// so guarded runs stay bitwise parallel-deterministic. With `enabled`
-/// false the admission path is byte-for-byte the unguarded one.
+/// admission rejections, oscillation and posterior-influence outliers.
+/// Crossing `demote_threshold` demotes the link (absorbed beliefs damped
+/// toward uniform); crossing twice it quarantines the link (bundles
+/// dropped entirely). Demotions are sticky and replay deterministically
+/// from round-ordered evidence, so guarded runs stay bitwise
+/// parallel-deterministic. With `enabled` false the admission path is
+/// byte-for-byte the unguarded one. The weights, decay and detector
+/// bounds are fixed (core/guard.h).
 struct ByzantineGuardOptions {
   bool enabled = false;
-
-  /// Multiplicative per-round decay of each link's misbehavior score, in
-  /// [0, 1): isolated violations (a delayed duplicate, one early
-  /// oscillation) wash out; sustained misbehavior accumulates.
-  double score_decay = 0.9;
-
-  /// Score added per admission rejection (non-finite / negative /
-  /// all-zero measures, quantization-tier mismatches, out-of-range or
-  /// own-member-forging positions).
-  double admission_weight = 2.0;
-  /// Score added when a link sends conflicting values for the same
-  /// factor position within one round (equivocation). Re-sending the
-  /// *same* value (a duplicated envelope) is not a violation.
-  double equivocation_weight = 4.0;
-  /// Score added when a slot's value reverses direction
-  /// `oscillation_bound` consecutive times by more than `flip_magnitude`
-  /// log-odds each.
-  double oscillation_weight = 1.0;
-  /// Score added when a link's mean absorbed |Δ log-odds| for a round
-  /// exceeds `outlier_ratio` times the median across this peer's
-  /// not-yet-suspect links (the independent-corroboration weighting: a
-  /// colluding neighbor cannot vouch a suspect back under the median).
-  double outlier_weight = 0.5;
-
-  /// Direction reversals tolerated per slot before they score.
-  uint32_t oscillation_bound = 6;
-  /// Minimum |Δ log-odds| for a move to count toward oscillation.
-  double flip_magnitude = 0.75;
-  /// Influence-outlier trigger: link mean vs median across clean links
-  /// (requires at least 3 clean links; smaller neighborhoods skip the
-  /// check).
-  double outlier_ratio = 8.0;
-
-  /// Demotion thresholds on the decayed score. Soft: absorbed beliefs
-  /// are damped toward the uniform message by `soft_damping`. Hard: the
-  /// link's bundles are dropped before absorption.
-  double soft_threshold = 6.0;
-  double hard_threshold = 12.0;
-  /// Log-odds retention factor for soft-demoted links, in [0, 1):
-  /// absorbed log-odds l becomes soft_damping · l.
-  double soft_damping = 0.25;
+  /// Soft-demotion score; hard quarantine fires at twice it. Must be
+  /// positive and finite.
+  double demote_threshold = 6.0;
 };
 
 /// Configuration of a `PdmsEngine`.

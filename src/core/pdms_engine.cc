@@ -471,16 +471,6 @@ uint64_t PdmsEngine::GuardDemotedLinks() const {
   return total;
 }
 
-uint64_t PdmsEngine::GuardQuarantinedLinks() const {
-  uint64_t total = 0;
-  for (size_t p = 0; p < peers_.size(); ++p) {
-    if (IsLocalPeer(static_cast<PeerId>(p))) {
-      total += peers_[p]->guard_quarantined_links();
-    }
-  }
-  return total;
-}
-
 FactorGraph PdmsEngine::BuildGlobalFactorGraph(
     std::vector<MappingVarKey>* vars_out) const {
   FactorGraph graph;

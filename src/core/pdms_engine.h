@@ -203,10 +203,9 @@ class PdmsEngine {
 
   /// Byzantine-guard totals over the *local* peers (all zero while the
   /// guard is off): entries the admission guard refused (rejections +
-  /// equivocations), links at demote level >= 1, and links at level 2.
+  /// equivocations) and links at demote level >= 1.
   uint64_t GuardRejectedBeliefs() const;
   uint64_t GuardDemotedLinks() const;
-  uint64_t GuardQuarantinedLinks() const;
 
   /// Materializes the *global* factor graph implied by the current peer
   /// states (priors + all announced feedback factors). Baseline for exact

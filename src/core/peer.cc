@@ -10,26 +10,6 @@
 namespace pdms {
 namespace {
 
-/// Log-odds used by the admission guard's history (equivocation /
-/// oscillation / influence comparisons). One-sided measures map to a
-/// saturated constant — only comparisons consume the value, so the exact
-/// cap is immaterial as long as it is deterministic.
-constexpr double kGuardLogOddsCap = 745.0;
-
-double GuardLogOdds(const Belief& belief) {
-  if (belief.correct <= 0.0 && belief.incorrect <= 0.0) return 0.0;
-  if (belief.incorrect <= 0.0) return kGuardLogOddsCap;
-  if (belief.correct <= 0.0) return -kGuardLogOddsCap;
-  return std::log(belief.correct / belief.incorrect);
-}
-
-/// Soft demotion: damp a message toward the uniform (unit) message by
-/// retaining fraction `w` of its log-odds — elementwise pow keeps the
-/// measure scale-free ((c/i)^w) and one-sided measures one-sided.
-Belief GuardDamped(const Belief& belief, double w) {
-  return Belief{std::pow(belief.correct, w), std::pow(belief.incorrect, w)};
-}
-
 /// Whether a probe from `origin`, `hops` edges long, with `ttl` hops left,
 /// is worth sending on into `next`: the copy must still be able to take
 /// part in a closure this protocol announces. `origin_is_min` says no
@@ -53,10 +33,9 @@ bool ProbeHopUseful(const ClosureFinderOptions& limits, PeerId origin,
 }  // namespace
 
 uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank) {
-  if (rank >= kValueRankExact && precision.exact_at_convergence) return 0;
   const uint32_t fine = ValueBitsForBudget(precision.error_budget);
   if (fine == 0) return 0;  // budget off: raw doubles everywhere
-  if (!precision.adaptive || rank >= 2) return fine;
+  if (rank >= 2) return fine;
   // Coarse/mid tiers drop 6/3 fractional bits: an 8x/2x larger step
   // while residuals dwarf the budget anyway.
   const uint32_t drop = rank == 0 ? 6 : 3;
@@ -64,11 +43,7 @@ uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank) {
 }
 
 uint32_t ValueRankTarget(const ValuePrecisionOptions& precision,
-                         double residual, double tolerance) {
-  if (precision.exact_at_convergence && residual < tolerance) {
-    return kValueRankExact;
-  }
-  if (!precision.adaptive) return 2;
+                         double residual) {
   const double eps = precision.error_budget;
   if (residual > 64.0 * eps) return 0;
   if (residual > 8.0 * eps) return 1;
@@ -118,27 +93,11 @@ void Peer::RemoveMapping(EdgeId edge) {
   // Misbehavior is a property of the *neighbor*, not of the alias
   // session: carry scores and demotions across the session reset below,
   // so churn cannot parole a demoted link.
-  struct GuardCarry {
-    PeerId peer;
-    double score;
-    uint8_t demote_level;
-    uint64_t rejections, equivocations, oscillations, outliers, dropped;
-  };
-  std::vector<GuardCarry> carried;
+  std::vector<std::pair<PeerId, GuardLinkState>> carried;
   if (options_->byzantine_guard.enabled) {
     for (const auto& [peer, index] : alias_link_index_) {
-      const PeerLink& link = alias_links_[index];
-      if (link.guard_score == 0.0 && link.guard_demote_level == 0 &&
-          link.guard_rejections == 0 && link.guard_equivocations == 0 &&
-          link.guard_oscillations == 0 && link.guard_outliers == 0 &&
-          link.guard_dropped_bundles == 0) {
-        continue;
-      }
-      carried.push_back(GuardCarry{
-          peer, link.guard_score, link.guard_demote_level,
-          link.guard_rejections, link.guard_equivocations,
-          link.guard_oscillations, link.guard_outliers,
-          link.guard_dropped_bundles});
+      const GuardLinkState& guard = alias_links_[index].guard;
+      if (!guard.Blank()) carried.emplace_back(peer, guard.Carried());
     }
   }
   const std::vector<Belief> old_var_to_factor = std::move(var_to_factor_pool_);
@@ -212,15 +171,8 @@ void Peer::RemoveMapping(EdgeId edge) {
     }
     AddReplicaToRoutes(r);
   }
-  for (const GuardCarry& carry : carried) {
-    PeerLink& link = alias_links_[InternAliasLink(carry.peer)];
-    link.guard_score = carry.score;
-    link.guard_demote_level = carry.demote_level;
-    link.guard_rejections = carry.rejections;
-    link.guard_equivocations = carry.equivocations;
-    link.guard_oscillations = carry.oscillations;
-    link.guard_outliers = carry.outliers;
-    link.guard_dropped_bundles = carry.dropped;
+  for (const auto& [peer, guard] : carried) {
+    alias_links_[InternAliasLink(peer)].guard = guard;
   }
 }
 
@@ -556,8 +508,8 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
     // entries, not the ack, not the binding declarations. Counted and
     // dropped without a Status (a per-round error would flood the logs
     // for as long as the adversary keeps sending).
-    if (link.guard_demote_level >= 2) {
-      ++link.guard_dropped_bundles;
+    if (link.guard.demote_level >= 2) {
+      ++link.guard.dropped_bundles;
       return Status::Ok();
     }
     // Slot histories share the message pools' slots and grow lazily, so
@@ -577,6 +529,15 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
   tx.acked_prefix = std::min(message.ack, tx.next_alias);
   AliasSessionRx& rx = link.session.rx;
   Status status = Status::Ok();
+  // One entry of a resolved group: straight into the pool, or through the
+  // guard stage when it is enabled.
+  const auto absorb = [&](uint32_t r, const BeliefEntry& entry) {
+    if (!guarded) {
+      AbsorbResolved(r, entry.position, entry.belief);
+      return;
+    }
+    AbsorbGuarded(from, link.guard, r, entry, message.value_bits, &status);
+  };
   for (const BeliefGroup& group : message.groups) {
     // Entry ranges are untrusted input like everything else in a bundle:
     // a range outside the flat array is rejected, not clamped-and-used.
@@ -622,12 +583,7 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
           const auto overflow = replica_index_.find(id);
           if (overflow != replica_index_.end()) {
             for (const BeliefEntry& entry : message.EntriesOf(group)) {
-              if (guarded) {
-                AbsorbGuarded(from, link, overflow->second, entry,
-                              message.value_bits, &status);
-              } else {
-                AbsorbResolved(overflow->second, entry.position, entry.belief);
-              }
+              absorb(overflow->second, entry);
             }
           }
           continue;
@@ -648,225 +604,46 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
       link.replica_of_alias[group.alias] = replica;
     }
     for (const BeliefEntry& entry : message.EntriesOf(group)) {
-      if (guarded) {
-        AbsorbGuarded(from, link, replica, entry, message.value_bits,
-                      &status);
-      } else {
-        AbsorbResolved(replica, entry.position, entry.belief);
-      }
+      absorb(replica, entry);
     }
   }
   return status;
 }
 
-void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
+void Peer::AbsorbGuarded(PeerId from, GuardLinkState& guard, uint32_t r,
                          const BeliefEntry& entry, uint32_t value_bits,
                          Status* status) {
-  const ByzantineGuardOptions& guard = options_->byzantine_guard;
   const ReplicaHot& hot = replica_hot_[r];
-  const Belief& received = entry.belief;
-  // Numerically degenerate measures — NaN, ±inf, all-zero — are refused
-  // so the pool only ever holds usable values, and counted, but NOT
-  // scored: they can be honest fallout of a poisoned upstream product
-  // (contradictory one-sided certainties multiply to {0, 0}; huge finite
-  // lies overflow to ±inf one hop later), and punishing relays for their
-  // neighbors' lies would cascade demotion through the honest
-  // subnetwork. Scoring keys on provable protocol violations below.
-  const bool nan_measure =
-      std::isnan(received.correct) || std::isnan(received.incorrect);
-  const bool negative =
-      !nan_measure && (received.correct < 0.0 || received.incorrect < 0.0);
-  if (nan_measure || std::isinf(received.correct) ||
-      std::isinf(received.incorrect) ||
-      (!negative && received.correct == 0.0 && received.incorrect == 0.0)) {
-    ++link.guard_rejections;
-    return;
+  const GuardScope scope{
+      id_, from, round_,
+      {member_owner_pool_.data() + hot.msg_base, hot.member_count},
+      {guard_slot_pool_.data() + hot.msg_base, hot.member_count}};
+  // The guard's checks subsume AbsorbResolved's; it hands back the value
+  // to write (damped on a soft-demoted link).
+  if (const std::optional<Belief> admitted =
+          GuardAdmit(entry, value_bits, scope, guard, status)) {
+    var_to_factor_pool_[hot.msg_base + entry.position] = *admitted;
   }
-  // Admission proper: everything the unguarded path silently ignores
-  // (malformed positions, forged own-member updates) plus semantic
-  // validity is evidence here, rejected and scored instead of dropped.
-  bool admitted = !negative;
-  const char* reason = "negative measure";
-  if (admitted && value_bits != 0) {
-    // Declared-tier consistency: the quantum must lie within the
-    // bundle's tier and the belief must be exactly its dequantized
-    // realization — a sender cannot claim one precision and ship
-    // another.
-    if (entry.quant != kQuantPosInf && entry.quant != kQuantNegInf &&
-        (entry.quant > QuantBound(value_bits) ||
-         entry.quant < -QuantBound(value_bits))) {
-      admitted = false;
-      reason = "quantum outside the declared tier";
-    } else {
-      const Belief expected = DequantizeLogOdds(entry.quant, value_bits);
-      if (received.correct != expected.correct ||
-          received.incorrect != expected.incorrect) {
-        admitted = false;
-        reason = "belief inconsistent with its wire quantum";
-      }
-    }
-  }
-  if (admitted && entry.position >= hot.member_count) {
-    admitted = false;
-    reason = "position outside the factor scope";
-  }
-  if (admitted) {
-    // Exactly one peer legitimately writes each slot: the member's
-    // owner. Enforcing that here closes third-party overwrites (an
-    // adversary poisoning a slot it does not own) and keeps the per-slot
-    // equivocation / oscillation history attributable to one link — an
-    // impersonator can no longer frame the honest owner.
-    const PeerId owner = member_owner_pool_[hot.msg_base + entry.position];
-    if (owner == id_) {
-      admitted = false;
-      reason = "update for a variable this peer owns";
-    } else if (owner != from) {
-      admitted = false;
-      reason = "update for a variable the sender does not own";
-    }
-  }
-  if (!admitted) {
-    ++link.guard_rejections;
-    link.guard_score += guard.admission_weight;
-    if (status->ok()) {
-      *status = Status::InvalidArgument(
-          StrFormat("belief entry rejected at peer %u: %s", id_, reason));
-    }
-    return;
-  }
-
-  GuardSlot& slot = guard_slot_pool_[hot.msg_base + entry.position];
-  const double log_odds = GuardLogOdds(received);
-  if (slot.has_last && slot.last_round == round_ &&
-      log_odds != slot.last_log_odds) {
-    // Same-round conflicting value for one slot: equivocation. The first
-    // value is kept. Re-sending the *same* value (a duplicated envelope)
-    // falls through below as a clean idempotent overwrite.
-    ++link.guard_equivocations;
-    link.guard_score += guard.equivocation_weight;
-    if (status->ok()) {
-      *status = Status::FailedPrecondition(StrFormat(
-          "equivocating belief entry at peer %u: conflicting values for one "
-          "slot within round %llu",
-          id_, static_cast<unsigned long long>(round_)));
-    }
-    return;
-  }
-  if (slot.has_last) {
-    const double delta = log_odds - slot.last_log_odds;
-    if (std::abs(delta) >= guard.flip_magnitude) {
-      const int8_t dir = delta > 0.0 ? 1 : -1;
-      if (dir == -slot.last_dir) {
-        if (++slot.flips >= guard.oscillation_bound) {
-          // Count every completed streak, but score at most one
-          // oscillation event per link per round (GuardEndOfRound):
-          // links carry many slots, and per-slot scoring would let a
-          // poisoned honest relay — every slot thrashing secondhand —
-          // accrue score proportional to its slot count.
-          ++link.guard_oscillations;
-          link.guard_round_oscillated = true;
-          slot.flips = 0;
-        }
-      } else {
-        slot.flips = 0;
-      }
-      slot.last_dir = dir;
-    }
-    link.guard_round_influence += std::abs(delta);
-  } else {
-    link.guard_round_influence += std::abs(log_odds);
-  }
-  ++link.guard_round_absorbed;
-  slot.last_log_odds = log_odds;
-  slot.last_round = round_;
-  slot.has_last = true;
-  // Admission checks above subsume AbsorbResolved's guards; write the
-  // slot directly, damped toward the unit message on a soft-demoted link.
-  var_to_factor_pool_[hot.msg_base + entry.position] =
-      link.guard_demote_level >= 1 ? GuardDamped(received, guard.soft_damping)
-                                   : received;
 }
 
 void Peer::GuardEndOfRound() {
-  const ByzantineGuardOptions& guard = options_->byzantine_guard;
-  // Influence outliers: a link whose mean absorbed |Δ log-odds| this
-  // round dwarfs the median across still-clean links gets scored. The
-  // median deliberately excludes suspects — colluding neighbors cannot
-  // vouch each other back under it — and neighborhoods with fewer than
-  // three clean reporting links skip the check (no meaningful quorum).
   std::vector<double> clean_means;
   clean_means.reserve(alias_links_.size());
   for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level == 0 && link.guard_round_absorbed > 0) {
-      clean_means.push_back(link.guard_round_influence /
-                            link.guard_round_absorbed);
+    if (link.guard.demote_level == 0 && link.guard.round_absorbed > 0) {
+      clean_means.push_back(link.guard.round_influence /
+                            link.guard.round_absorbed);
     }
   }
-  if (clean_means.size() >= 3) {
-    std::sort(clean_means.begin(), clean_means.end());
-    const double median = clean_means[clean_means.size() / 2];
-    // The baseline is floored at flip_magnitude: in a mostly-converged
-    // neighborhood the clean median collapses toward zero, and without
-    // the floor every link still doing real work would dwarf it and be
-    // scored as an "outlier".
-    const double baseline = std::max(median, guard.flip_magnitude);
-    if (baseline > 0.0) {
-      for (PeerLink& link : alias_links_) {
-        if (link.guard_demote_level != 0 || link.guard_round_absorbed == 0) {
-          continue;
-        }
-        const double mean =
-            link.guard_round_influence / link.guard_round_absorbed;
-        if (mean > guard.outlier_ratio * baseline) {
-          ++link.guard_outliers;
-          link.guard_score += guard.outlier_weight;
-        }
-      }
-    }
-  }
-  // Thresholds before decay, so a burst that crossed this round demotes
-  // this round; decay then ages whatever remains. Demotion is sticky —
-  // levels only ever rise — so replay from any snapshot reaches the
-  // same decisions.
-  for (size_t i = 0; i < alias_links_.size(); ++i) {
-    PeerLink& link = alias_links_[i];
-    if (link.guard_round_oscillated) {
-      link.guard_score += guard.oscillation_weight;
-      link.guard_round_oscillated = false;
-    }
-    if (link.guard_score >= guard.hard_threshold) {
-      if (link.guard_demote_level < 2) {
-        link.guard_demote_level = 2;
-        // Quarantining stops FUTURE bundles; the lies already absorbed
-        // would keep poisoning this peer's products (and its honest
-        // neighbors, secondhand) forever. Reset every slot the liar
-        // owns to the neutral measure so the subnetwork can heal.
-        for (const auto& [peer, index] : alias_link_index_) {
-          if (index == i) {
-            PurgeGuardDeposits(peer);
-            break;
-          }
-        }
-      }
-    } else if (link.guard_score >= guard.soft_threshold &&
-               link.guard_demote_level < 1) {
-      link.guard_demote_level = 1;
-    }
-    link.guard_score *= guard.score_decay;
-    link.guard_round_influence = 0.0;
-    link.guard_round_absorbed = 0;
-  }
-}
-
-void Peer::PurgeGuardDeposits(PeerId peer) {
-  for (const ReplicaHot& hot : replica_hot_) {
-    for (uint32_t m = 0; m < hot.member_count; ++m) {
-      const size_t slot = hot.msg_base + m;
-      if (member_owner_pool_[slot] != peer) continue;
-      var_to_factor_pool_[slot] = Belief::Unit();
-      if (slot < guard_slot_pool_.size()) {
-        guard_slot_pool_[slot] = GuardSlot{};
-      }
+  const double baseline = GuardOutlierBaseline(clean_means);
+  // Each link closes its round from its own record and the shared
+  // baseline, and a purge touches only the quarantined peer's own slots,
+  // so walking the links in peer order decides exactly as intern order.
+  for (const auto& [peer, index] : alias_link_index_) {
+    if (GuardCloseRound(alias_links_[index].guard, baseline,
+                        options_->byzantine_guard.demote_threshold)) {
+      PurgeGuardDeposits(peer, member_owner_pool_, var_to_factor_pool_,
+                         guard_slot_pool_);
     }
   }
 }
@@ -934,8 +711,8 @@ double Peer::ComputeRound() {
   // for — monotone, so a peer restored from a snapshot continues the
   // same precision trajectory an uninterrupted run would have taken.
   if (options_->value_precision.error_budget > 0.0) {
-    const uint32_t target = ValueRankTarget(
-        options_->value_precision, max_change, options_->tolerance);
+    const uint32_t target =
+        ValueRankTarget(options_->value_precision, max_change);
     for (PeerLink& link : alias_links_) {
       if (link.value_rank < target) {
         link.value_rank = static_cast<uint8_t>(target);
@@ -1083,15 +860,7 @@ std::vector<Peer::GuardLinkView> Peer::GuardViews() const {
     views[index].peer = peer;
   }
   for (size_t i = 0; i < alias_links_.size(); ++i) {
-    const PeerLink& link = alias_links_[i];
-    GuardLinkView& view = views[i];
-    view.score = link.guard_score;
-    view.demote_level = link.guard_demote_level;
-    view.rejections = link.guard_rejections;
-    view.equivocations = link.guard_equivocations;
-    view.oscillations = link.guard_oscillations;
-    view.outliers = link.guard_outliers;
-    view.dropped_bundles = link.guard_dropped_bundles;
+    views[i].state = alias_links_[i].guard;
   }
   return views;
 }
@@ -1099,7 +868,7 @@ std::vector<Peer::GuardLinkView> Peer::GuardViews() const {
 uint64_t Peer::guard_rejected_entries() const {
   uint64_t total = 0;
   for (const PeerLink& link : alias_links_) {
-    total += link.guard_rejections + link.guard_equivocations;
+    total += link.guard.rejections + link.guard.equivocations;
   }
   return total;
 }
@@ -1107,15 +876,7 @@ uint64_t Peer::guard_rejected_entries() const {
 uint64_t Peer::guard_demoted_links() const {
   uint64_t total = 0;
   for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level >= 1) ++total;
-  }
-  return total;
-}
-
-uint64_t Peer::guard_quarantined_links() const {
-  uint64_t total = 0;
-  for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level >= 2) ++total;
+    if (link.guard.demote_level >= 1) ++total;
   }
   return total;
 }
@@ -1159,15 +920,7 @@ Peer::Image Peer::CaptureImage() const {
     out.rx_known_prefix = link.session.rx.known_prefix;
     out.replica_of_alias = link.replica_of_alias;
     out.value_rank = link.value_rank;
-    out.guard_score = link.guard_score;
-    out.guard_demote_level = link.guard_demote_level;
-    out.guard_rejections = link.guard_rejections;
-    out.guard_equivocations = link.guard_equivocations;
-    out.guard_oscillations = link.guard_oscillations;
-    out.guard_outliers = link.guard_outliers;
-    out.guard_dropped_bundles = link.guard_dropped_bundles;
-    out.guard_round_influence = link.guard_round_influence;
-    out.guard_round_absorbed = link.guard_round_absorbed;
+    out.guard = link.guard;
   }
   image.alias_epoch = alias_epoch_;
   image.guard_slot_pool = guard_slot_pool_;
@@ -1214,15 +967,7 @@ void Peer::RestoreImage(Image&& image) {
     link.session.rx.known_prefix = in.rx_known_prefix;
     link.replica_of_alias = std::move(in.replica_of_alias);
     link.value_rank = static_cast<uint8_t>(in.value_rank);
-    link.guard_score = in.guard_score;
-    link.guard_demote_level = static_cast<uint8_t>(in.guard_demote_level);
-    link.guard_rejections = in.guard_rejections;
-    link.guard_equivocations = in.guard_equivocations;
-    link.guard_oscillations = in.guard_oscillations;
-    link.guard_outliers = in.guard_outliers;
-    link.guard_dropped_bundles = in.guard_dropped_bundles;
-    link.guard_round_influence = in.guard_round_influence;
-    link.guard_round_absorbed = in.guard_round_absorbed;
+    link.guard = in.guard;
     alias_link_index_.emplace_back(in.peer, static_cast<uint32_t>(i));
   }
   std::sort(alias_link_index_.begin(), alias_link_index_.end());

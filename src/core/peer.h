@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/guard.h"
 #include "core/options.h"
 #include "factor/factor.h"
 #include "graph/digraph.h"
@@ -42,28 +43,23 @@ struct QueryActions {
 //
 // Under a value error budget (EngineOptions::value_precision) every belief
 // link carries a monotone precision tier: coarse quanta while the sending
-// peer's residual is large, stepping to fine — and optionally back to
-// exact raw doubles — as convergence nears. The tier is transmit-side
-// state only (bundles are self-describing), so step-ups survive loss and
-// mixed-precision traffic trivially.
+// peer's residual is large, stepping to fine as convergence nears. The
+// tier is transmit-side state only (bundles are self-describing), so
+// step-ups survive loss and mixed-precision traffic trivially.
 
-/// Number of value-precision tiers (coarse, mid, fine, exact).
-inline constexpr uint32_t kValueRankCount = 4;
-/// The tier whose bundles return to raw doubles.
-inline constexpr uint32_t kValueRankExact = 3;
+/// Number of value-precision tiers (coarse, mid, fine).
+inline constexpr uint32_t kValueRankCount = 3;
 
 /// Fractional log-odds bits a bundle at `rank` uses under `precision`:
 /// fine = ValueBitsForBudget(budget), mid/coarse = 3/6 fewer bits
-/// (clamped at 2), exact = 0 (raw doubles). With `adaptive` false, every
-/// rank below exact collapses to the fine tier.
+/// (clamped at 2); 0 (raw doubles) at every rank when the budget is off.
 uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank);
 
 /// Target tier for a peer whose last round's max posterior change was
-/// `residual`: coarse above 64ε, mid above 8ε, fine below — and exact
-/// once the residual clears `tolerance`, when `exact_at_convergence` is
-/// set. Links only ever step toward this target, never back.
+/// `residual`: coarse above 64ε, mid above 8ε, fine below. Links only
+/// ever step toward this target, never back.
 uint32_t ValueRankTarget(const ValuePrecisionOptions& precision,
-                         double residual, double tolerance);
+                         double residual);
 
 /// One autonomous peer database: schema, documents, outgoing mappings, and
 /// the peer's fragment of the global factor graph (Section 4.1).
@@ -212,25 +208,15 @@ class Peer {
   /// (`EngineOptions::byzantine_guard`); all zeros when the guard is off.
   struct GuardLinkView {
     PeerId peer = 0;
-    /// Decaying misbehavior score (see ByzantineGuardOptions weights).
-    double score = 0.0;
-    /// 0 = normal, 1 = soft-demoted (beliefs damped toward uniform),
-    /// 2 = hard-quarantined (bundles dropped). Sticky.
-    uint32_t demote_level = 0;
-    uint64_t rejections = 0;     ///< admission-rejected entries
-    uint64_t equivocations = 0;  ///< same-round conflicting values
-    uint64_t oscillations = 0;   ///< flip streaks beyond the bound
-    uint64_t outliers = 0;       ///< influence-outlier rounds
-    uint64_t dropped_bundles = 0;  ///< bundles dropped while quarantined
+    GuardLinkState state;
   };
   /// Per-neighbor guard state, in link-intern order.
   std::vector<GuardLinkView> GuardViews() const;
 
   /// Totals across links (node/engine stats).
   uint64_t guard_rejected_entries() const;
-  /// Links at demote level >= 1 / exactly 2.
+  /// Links at demote level >= 1.
   uint64_t guard_demoted_links() const;
-  uint64_t guard_quarantined_links() const;
 
   /// Read-only summary of one stored factor replica (engine introspection:
   /// global-factor-graph reconstruction, baselines, debugging).
@@ -369,30 +355,10 @@ class Peer {
     std::vector<uint32_t> replica_of_alias;
     /// Transmit-side value-precision tier (see `PeerLink::value_rank`).
     uint32_t value_rank = 0;
-    /// Byzantine-guard state (see `PeerLink`); zeros when the guard is
-    /// off. Persisted so demotion trajectories replay identically after a
-    /// restore (snapshot format v3).
-    double guard_score = 0.0;
-    uint32_t guard_demote_level = 0;
-    uint64_t guard_rejections = 0;
-    uint64_t guard_equivocations = 0;
-    uint64_t guard_oscillations = 0;
-    uint64_t guard_outliers = 0;
-    uint64_t guard_dropped_bundles = 0;
-    double guard_round_influence = 0.0;
-    uint32_t guard_round_absorbed = 0;
-  };
-
-  /// Per-slot admission history under the Byzantine guard, parallel to
-  /// `var_to_factor_pool_` (each foreign slot is written by exactly one
-  /// owner link, so the history needs no per-link dimension). Only
-  /// allocated while the guard is enabled.
-  struct GuardSlot {
-    double last_log_odds = 0.0;  ///< last absorbed value
-    uint64_t last_round = 0;     ///< peer round of the last absorb
-    uint8_t flips = 0;           ///< consecutive direction reversals
-    int8_t last_dir = 0;         ///< sign of the last large move
-    bool has_last = false;
+    /// Byzantine-guard record; zeros when the guard is off. Persisted so
+    /// demotion trajectories replay identically after a restore (snapshot
+    /// format v3).
+    GuardLinkState guard;
   };
 
   /// A complete, self-contained copy of this peer's mutable state in
@@ -471,24 +437,16 @@ class Peer {
   /// unless the update is malformed or claims a variable this peer owns.
   void AbsorbResolved(uint32_t r, uint32_t position, const Belief& belief);
 
-  struct PeerLink;
-
-  /// Guarded admission of one bundle entry over `link` (guard enabled
-  /// only): semantic validation, equivocation/oscillation detection,
-  /// score feeds, soft-demotion damping — then `AbsorbResolved`. Records
-  /// the first violation in `*status`.
-  void AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
+  /// Admission of one bundle entry from `from` through the guard stage
+  /// (`GuardAdmit`), writing the admitted value into the pool. Guard
+  /// enabled only; the first violation lands in `*status`.
+  void AbsorbGuarded(PeerId from, GuardLinkState& guard, uint32_t r,
                      const BeliefEntry& entry, uint32_t value_bits,
                      Status* status);
 
-  /// End-of-round guard bookkeeping: influence-outlier detection, score
-  /// decay, threshold crossings -> demotion. No-op when the guard is off.
+  /// End-of-round guard step over every link (`GuardCloseRound`), purging
+  /// the deposits of links quarantined this round. Guard enabled only.
   void GuardEndOfRound();
-
-  /// Resets every pool slot owned by `peer` to the neutral measure (and
-  /// clears its guard history). Called on hard demotion: quarantine only
-  /// stops future bundles, this heals the lies already deposited.
-  void PurgeGuardDeposits(PeerId peer);
 
   /// ∆ used by this peer when announcing feedback.
   double EffectiveDelta() const;
@@ -585,36 +543,14 @@ class Peer {
     AliasLink session;
     std::vector<uint32_t> replica_of_alias;
     /// Transmit-side precision tier under a value error budget: 0 coarse,
-    /// 1 mid, 2 fine, 3 exact (raw doubles again). Stepped up — never
-    /// down — at the end of `ComputeRound` from the peer's residual, so a
-    /// link's precision trajectory is monotone and a peer restored from a
-    /// snapshot continues it identically. Unused when quantization is
-    /// off.
+    /// 1 mid, 2 fine. Stepped up — never down — at the end of
+    /// `ComputeRound` from the peer's residual, so a link's precision
+    /// trajectory is monotone and a peer restored from a snapshot
+    /// continues it identically. Unused when quantization is off.
     uint8_t value_rank = 0;
-
-    // Byzantine-guard state (EngineOptions::byzantine_guard). All
-    // untouched — and all zero — while the guard is disabled.
-    /// Decaying misbehavior score; violations add their configured
-    /// weight, `score_decay` multiplies at each `ComputeRound`.
-    double guard_score = 0.0;
-    /// 0 normal, 1 soft (damped absorption), 2 hard (bundles dropped).
-    /// Sticky: demotion never reverts, so replay from any snapshot
-    /// reaches the same decisions.
-    uint8_t guard_demote_level = 0;
-    uint64_t guard_rejections = 0;
-    uint64_t guard_equivocations = 0;
-    uint64_t guard_oscillations = 0;
-    uint64_t guard_outliers = 0;
-    uint64_t guard_dropped_bundles = 0;
-    /// This round's absorbed |Δ log-odds| mass and entry count — the
-    /// influence-outlier feed, consumed and reset by `ComputeRound`.
-    double guard_round_influence = 0.0;
-    uint32_t guard_round_absorbed = 0;
-    /// An oscillation streak completed this round. Transient per-round
-    /// state — scored once (not once per slot) and cleared by
-    /// `ComputeRound`, never snapshotted: snapshots land at round
-    /// barriers where it is always false.
-    bool guard_round_oscillated = false;
+    /// Byzantine-guard record (EngineOptions::byzantine_guard); untouched
+    /// — and all zero — while the guard is disabled.
+    GuardLinkState guard;
   };
 
   /// Alias sessions, one per neighbor: dense storage indexed through

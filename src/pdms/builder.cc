@@ -1,6 +1,7 @@
 #include "pdms/builder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <utility>
 
@@ -101,31 +102,12 @@ Result<Pdms> PdmsBuilder::Build() {
     options_.value_precision.error_budget = *value_error_budget_;
   }
   if (byzantine_guard_.has_value()) {
-    const ByzantineGuardOptions& g = *byzantine_guard_;
-    if (g.admission_weight < 0.0 || g.equivocation_weight < 0.0 ||
-        g.oscillation_weight < 0.0 || g.outlier_weight < 0.0) {
+    const double threshold = byzantine_guard_->demote_threshold;
+    if (!std::isfinite(threshold) || threshold <= 0.0) {
       return Status::InvalidArgument(
-          "byzantine guard: score weights must be non-negative");
+          "byzantine guard: demote_threshold must be positive and finite");
     }
-    if (g.score_decay < 0.0 || g.score_decay >= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: score_decay must lie in [0, 1)");
-    }
-    if (g.soft_damping < 0.0 || g.soft_damping >= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: soft_damping must lie in [0, 1)");
-    }
-    if (g.soft_threshold <= 0.0 || g.hard_threshold <= 0.0 ||
-        g.hard_threshold < g.soft_threshold) {
-      return Status::InvalidArgument(
-          "byzantine guard: thresholds must be positive with hard >= soft");
-    }
-    if (g.flip_magnitude < 0.0 || g.outlier_ratio <= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: flip_magnitude must be non-negative and "
-          "outlier_ratio greater than 1");
-    }
-    options_.byzantine_guard = g;
+    options_.byzantine_guard = *byzantine_guard_;
   }
   if (byzantine_plan_.has_value()) {
     ByzantinePlan plan = *byzantine_plan_;

@@ -63,10 +63,9 @@ class PdmsBuilder {
   /// Byzantine-resilient belief admission
   /// (`EngineOptions::byzantine_guard`): semantic validation of every
   /// inbound belief entry plus per-neighbor misbehavior scoring with
-  /// soft/hard link demotion. `Build()` rejects malformed configurations
-  /// (negative weights or rates, thresholds out of order, damping or
-  /// decay outside [0, 1)). Applied at `Build()` time on top of whatever
-  /// `WithOptions` supplied, so call order does not matter.
+  /// soft/hard link demotion. `Build()` rejects a `demote_threshold` that
+  /// is not positive and finite. Applied at `Build()` time on top of
+  /// whatever `WithOptions` supplied, so call order does not matter.
   PdmsBuilder& WithByzantineGuard(const ByzantineGuardOptions& guard);
 
   /// Seeded behavioral chaos (`EngineOptions::byzantine`): the listed

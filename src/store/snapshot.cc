@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/guard.h"
 #include "net/codec.h"
 #include "util/string_util.h"
 
@@ -277,19 +278,20 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Varint(link.replica_of_alias.size());
     for (uint32_t replica : link.replica_of_alias) w.Fixed32(replica);
     w.U8(static_cast<uint8_t>(link.value_rank));
-    w.Double(link.guard_score);
-    w.U8(static_cast<uint8_t>(link.guard_demote_level));
-    w.Fixed64(link.guard_rejections);
-    w.Fixed64(link.guard_equivocations);
-    w.Fixed64(link.guard_oscillations);
-    w.Fixed64(link.guard_outliers);
-    w.Fixed64(link.guard_dropped_bundles);
-    w.Double(link.guard_round_influence);
-    w.Fixed32(link.guard_round_absorbed);
+    const GuardLinkState& guard = link.guard;
+    w.Double(guard.score);
+    w.U8(guard.demote_level);
+    w.Fixed64(guard.rejections);
+    w.Fixed64(guard.equivocations);
+    w.Fixed64(guard.oscillations);
+    w.Fixed64(guard.outliers);
+    w.Fixed64(guard.dropped_bundles);
+    w.Double(guard.round_influence);
+    w.Fixed32(guard.round_absorbed);
   }
   w.Fixed32(image.alias_epoch);
   w.Varint(image.guard_slot_pool.size());
-  for (const Peer::GuardSlot& slot : image.guard_slot_pool) {
+  for (const GuardSlot& slot : image.guard_slot_pool) {
     w.Double(slot.last_log_odds);
     w.Fixed64(slot.last_round);
     w.U8(slot.flips);
@@ -427,20 +429,21 @@ Status GetPeerImage(Reader& r, uint32_t format_version, Peer::Image* image) {
     for (uint32_t& replica : link.replica_of_alias) replica = r.Fixed32();
     link.value_rank = r.U8();
     if (link.value_rank >= kValueRankCount) return corrupt("link value rank");
-    link.guard_score = r.Double();
-    link.guard_demote_level = r.U8();
-    if (link.guard_demote_level > 2) return corrupt("link demote level");
-    link.guard_rejections = r.Fixed64();
-    link.guard_equivocations = r.Fixed64();
-    link.guard_oscillations = r.Fixed64();
-    link.guard_outliers = r.Fixed64();
-    link.guard_dropped_bundles = r.Fixed64();
-    link.guard_round_influence = r.Double();
-    link.guard_round_absorbed = r.Fixed32();
+    GuardLinkState& guard = link.guard;
+    guard.score = r.Double();
+    guard.demote_level = r.U8();
+    if (guard.demote_level > 2) return corrupt("link demote level");
+    guard.rejections = r.Fixed64();
+    guard.equivocations = r.Fixed64();
+    guard.oscillations = r.Fixed64();
+    guard.outliers = r.Fixed64();
+    guard.dropped_bundles = r.Fixed64();
+    guard.round_influence = r.Double();
+    guard.round_absorbed = r.Fixed32();
   }
   image->alias_epoch = r.Fixed32();
   image->guard_slot_pool.resize(r.Count(19));
-  for (Peer::GuardSlot& slot : image->guard_slot_pool) {
+  for (GuardSlot& slot : image->guard_slot_pool) {
     slot.last_log_odds = r.Double();
     slot.last_round = r.Fixed64();
     slot.flips = r.U8();
@@ -643,30 +646,21 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   HashU64(h, options.convergence_patience);
   HashDouble(h, options.damping);
   // The value error budget changes what travels on the wire (and thus the
-  // posteriors), so snapshots taken under one precision policy must never
-  // be resumed under another.
+  // posteriors), so snapshots taken under one budget must never be resumed
+  // under another. The two fixed words stand for the tier policy
+  // (adaptive tiers, no exact tail), once two settings: hashing them keeps
+  // the epochs of guard-off snapshots written under that policy, exact or
+  // quantized.
   HashDouble(h, options.value_precision.error_budget);
-  HashU64(h, options.value_precision.adaptive ? 1 : 0);
-  HashU64(h, options.value_precision.exact_at_convergence ? 1 : 0);
+  HashU64(h, 1);
+  HashU64(h, 0);
   // The Byzantine guard changes what gets absorbed (and persists demotion
   // state in the image), and the chaos plan changes what goes on the
   // wire: a snapshot taken under one configuration must never be resumed
   // under another.
   const ByzantineGuardOptions& guard = options.byzantine_guard;
   HashU64(h, guard.enabled ? 1 : 0);
-  if (guard.enabled) {
-    HashDouble(h, guard.score_decay);
-    HashDouble(h, guard.admission_weight);
-    HashDouble(h, guard.equivocation_weight);
-    HashDouble(h, guard.oscillation_weight);
-    HashDouble(h, guard.outlier_weight);
-    HashU64(h, guard.oscillation_bound);
-    HashDouble(h, guard.flip_magnitude);
-    HashDouble(h, guard.outlier_ratio);
-    HashDouble(h, guard.soft_threshold);
-    HashDouble(h, guard.hard_threshold);
-    HashDouble(h, guard.soft_damping);
-  }
+  if (guard.enabled) HashDouble(h, guard.demote_threshold);
   const ByzantinePlan& chaos = options.byzantine;
   HashU64(h, chaos.Enabled() ? 1 : 0);
   if (chaos.Enabled()) {

@@ -5,6 +5,7 @@
 // and the Result<T> utilities it leans on.
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -517,20 +518,13 @@ TEST(BuilderValidationTest, MalformedByzantineGuardIsRejected) {
     return IntroBuilder(EngineOptions{}).WithByzantineGuard(guard).Build();
   };
   ByzantineGuardOptions guard;
-  guard.score_decay = 1.0;  // decay must stay below 1 or scores never fade
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.hard_threshold = guard.soft_threshold / 2.0;  // hard below soft
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.admission_weight = -1.0;
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.outlier_ratio = 1.0;  // must exceed 1 or every clean link is an outlier
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.soft_damping = 1.0;
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
+  for (const double threshold :
+       {0.0, -1.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    guard.demote_threshold = threshold;
+    EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument)
+        << threshold;
+  }
   // The defaults themselves must build.
   guard = ByzantineGuardOptions{};
   guard.enabled = true;
@@ -641,12 +635,12 @@ TEST(ByzantineGuardTest, ColludingNeighborsAreBothDemoted) {
     if (plan.IsAdversary(p)) continue;  // only honest receivers' verdicts
     for (const Peer::GuardLinkView& view : pdms.engine().peer(p).GuardViews()) {
       if (view.peer == 1) {
-        adversary1_demoted = adversary1_demoted || view.demote_level >= 1;
+        adversary1_demoted = adversary1_demoted || view.state.demote_level >= 1;
       } else if (view.peer == 2) {
-        adversary2_demoted = adversary2_demoted || view.demote_level >= 1;
+        adversary2_demoted = adversary2_demoted || view.state.demote_level >= 1;
       } else {
         ++honest_links;
-        if (view.demote_level >= 1) ++honest_demoted;
+        if (view.state.demote_level >= 1) ++honest_demoted;
       }
     }
   }

@@ -402,17 +402,6 @@ TEST(ValueRankTest, TierFormulasClampAndOrder) {
   EXPECT_EQ(ValueRankBits(precision, 0), 7u);
   EXPECT_EQ(ValueRankBits(precision, 1), 10u);
   EXPECT_EQ(ValueRankBits(precision, 2), 13u);
-  // Without the exact tail, the top rank still ships the fine tier.
-  EXPECT_EQ(ValueRankBits(precision, kValueRankExact), 13u);
-  precision.exact_at_convergence = true;
-  EXPECT_EQ(ValueRankBits(precision, kValueRankExact), 0u);  // raw doubles
-
-  // Non-adaptive sessions pin every rank at the fine tier.
-  precision.exact_at_convergence = false;
-  precision.adaptive = false;
-  for (uint32_t rank = 0; rank < kValueRankCount; ++rank) {
-    EXPECT_EQ(ValueRankBits(precision, rank), 13u);
-  }
 
   // Generous budgets hit the 2-bit floor instead of underflowing.
   ValuePrecisionOptions loose;
@@ -431,19 +420,11 @@ TEST(ValueRankTest, TierFormulasClampAndOrder) {
 TEST(ValueRankTest, TargetTracksTheResidual) {
   ValuePrecisionOptions precision;
   precision.error_budget = 1e-3;
-  const double tolerance = 1e-7;
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 0u);    // > 64eps
-  EXPECT_EQ(ValueRankTarget(precision, 1e-2, tolerance), 1u);   // > 8eps
-  EXPECT_EQ(ValueRankTarget(precision, 1e-4, tolerance), 2u);   // near done
-  // The exact tail engages only below the convergence tolerance.
-  EXPECT_EQ(ValueRankTarget(precision, 1e-8, tolerance), 2u);
-  precision.exact_at_convergence = true;
-  EXPECT_EQ(ValueRankTarget(precision, 1e-8, tolerance), kValueRankExact);
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 0u);
-  // Non-adaptive: always the fine tier (the exact tail still applies).
-  precision.exact_at_convergence = false;
-  precision.adaptive = false;
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 2u);
+  EXPECT_EQ(ValueRankTarget(precision, 1.0), 0u);   // > 64eps
+  EXPECT_EQ(ValueRankTarget(precision, 1e-2), 1u);  // > 8eps
+  EXPECT_EQ(ValueRankTarget(precision, 1e-4), 2u);  // near done
+  // Converged links stay at the fine tier: there is no exact tail.
+  EXPECT_EQ(ValueRankTarget(precision, 1e-8), 2u);
 }
 
 TEST_F(PeerTest, QuantizedLinksStepUpMonotonicallyToTheFineTier) {
@@ -465,21 +446,6 @@ TEST_F(PeerTest, QuantizedLinksStepUpMonotonicallyToTheFineTier) {
     }
   }
   EXPECT_EQ(previous_bits, 13u);  // residual shrank: fine tier reached
-}
-
-TEST_F(PeerTest, ExactTailRestoresRawDoublesAtConvergence) {
-  options_.tolerance = 1e-4;
-  options_.value_precision.error_budget = 1e-3;
-  options_.value_precision.exact_at_convergence = true;
-  peers_[0]->IngestFeedback(F1Announcement());
-  double change = 1.0;
-  for (int round = 0; round < 2000 && change >= options_.tolerance; ++round) {
-    change = peers_[0]->ComputeRound();
-  }
-  ASSERT_LT(change, options_.tolerance);
-  // The converged round ratcheted the link to the exact rank: bundles ship
-  // raw doubles (value format 0) from here on.
-  EXPECT_EQ(BundleFromTo(*peers_[0], 1).value_bits, 0u);
 }
 
 TEST_F(PeerTest, RestoredPeerContinuesThePrecisionTrajectoryIdentically) {
@@ -976,8 +942,8 @@ TEST_F(PeerTest, GuardRejectsMalformedMeasures) {
         views.begin(), views.end(),
         [](const Peer::GuardLinkView& v) { return v.peer == 3; });
     ASSERT_NE(sender, views.end());
-    EXPECT_EQ(sender->rejections, 3u);
-    EXPECT_EQ(sender->score, 0.0);
+    EXPECT_EQ(sender->state.rejections, 3u);
+    EXPECT_EQ(sender->state.score, 0.0);
   }
 
   // A negative measure cannot arise from honest arithmetic — it is a
@@ -992,8 +958,8 @@ TEST_F(PeerTest, GuardRejectsMalformedMeasures) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 3; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->rejections, 4u);
-  EXPECT_GT(guilty->score, 0.0);
+  EXPECT_EQ(guilty->state.rejections, 4u);
+  EXPECT_GT(guilty->state.score, 0.0);
 
   peers_[0]->ComputeRound();
   EXPECT_NEAR(peers_[0]->Posterior(MappingVarKey{edges_.m12, 0}), before,
@@ -1028,8 +994,8 @@ TEST_F(PeerTest, GuardEnforcesSlotOwnership) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 3; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->rejections, 2u);
-  EXPECT_GT(guilty->score, 0.0);
+  EXPECT_EQ(guilty->state.rejections, 2u);
+  EXPECT_GT(guilty->state.score, 0.0);
 
   // The same value from the slot's actual owner is admitted untouched.
   BeliefMessage honest;
@@ -1061,7 +1027,7 @@ TEST_F(PeerTest, GuardFlagsSameRoundEquivocationAndKeepsFirstValue) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 1; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->equivocations, 1u);
+  EXPECT_EQ(guilty->state.equivocations, 1u);
 
   // First-value-wins: re-delivering the ORIGINAL value after the
   // conflicting one is still consistent with what the pool holds.
@@ -1106,14 +1072,13 @@ TEST_F(PeerTest, GuardRejectsQuantInconsistentValues) {
 TEST_F(PeerTest, GuardDemotesOscillatingNeighborStickily) {
   options_.byzantine_guard.enabled = true;
   // One full flip streak should cross the soft threshold by itself.
-  options_.byzantine_guard.oscillation_weight =
-      options_.byzantine_guard.soft_threshold;
+  options_.byzantine_guard.demote_threshold = kGuardOscillationWeight;
   peers_[0]->IngestFeedback(F1Announcement());
   peers_[0]->ComputeRound();
   const FactorId id = FactorId::Make(F1Announcement().closure, 0);
 
   // Alternate a strong pro / strong con value every round: each round
-  // reverses the slot's direction, and after `oscillation_bound`
+  // reverses the slot's direction, and after `kGuardOscillationBound`
   // reversals the streak scores one oscillation event.
   uint32_t demoted_at = 0;
   for (uint32_t round = 0; round < 32; ++round) {
@@ -1134,14 +1099,58 @@ TEST_F(PeerTest, GuardDemotesOscillatingNeighborStickily) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 3; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_GE(guilty->oscillations, 1u);
-  EXPECT_EQ(guilty->demote_level, 1u);
+  EXPECT_GE(guilty->state.oscillations, 1u);
+  EXPECT_EQ(guilty->state.demote_level, 1u);
 
   // Demotion is sticky: honest rounds afterwards do not parole the link
   // even as the score decays below the threshold.
   for (uint32_t round = 0; round < 40; ++round) {
     peers_[0]->ComputeRound();
   }
+  EXPECT_EQ(peers_[0]->guard_demoted_links(), 1u);
+}
+
+TEST_F(PeerTest, ChurnCannotParoleADemotedLink) {
+  // Misbehavior belongs to the neighbor, not to the alias session that
+  // RemoveMapping resets: a demoted link keeps its score and tallies
+  // across the reset, and a link with nothing on record is not re-created.
+  options_.byzantine_guard.enabled = true;
+  peers_[0]->IngestFeedback(F1Announcement());
+  peers_[0]->ComputeRound();
+  const FactorId id = FactorId::Make(F1Announcement().closure, 0);
+  // Peer 3 writes position 1, which peer 1 owns: three scored rejections
+  // reach the default demotion threshold (3 x 2 = 6).
+  for (int i = 0; i < 3; ++i) {
+    BeliefMessage forged;
+    forged.AddGroup(0, id, {BeliefEntry{1, Belief{0.9, 0.1}}});
+    EXPECT_FALSE(peers_[0]->AbsorbBeliefBundle(3, forged).ok());
+  }
+  peers_[0]->ComputeRound();
+  ASSERT_EQ(peers_[0]->guard_demoted_links(), 1u);
+  // A clean entry from peer 3's own slot fills the per-round fields, which
+  // the reset must not carry over.
+  BeliefMessage own;
+  own.AddGroup(0, id, {BeliefEntry{3, Belief{0.6, 0.4}}});
+  ASSERT_TRUE(peers_[0]->AbsorbBeliefBundle(3, own).ok());
+
+  // f1 routes to peers 1, 2 and 3; only peer 3 has anything on record.
+  const std::vector<Peer::GuardLinkView> before = peers_[0]->GuardViews();
+  ASSERT_EQ(before.size(), 3u);
+  const auto demoted = std::find_if(
+      before.begin(), before.end(),
+      [](const Peer::GuardLinkView& v) { return v.peer == 3; });
+  ASSERT_NE(demoted, before.end());
+  ASSERT_EQ(demoted->state.demote_level, 1u);
+  ASSERT_EQ(demoted->state.round_absorbed, 1u);
+  GuardLinkState expected = demoted->state;
+  expected.round_influence = 0.0;
+  expected.round_absorbed = 0;
+
+  peers_[0]->RemoveMapping(edges_.m34);  // drops f1 and every route
+  const std::vector<Peer::GuardLinkView> after = peers_[0]->GuardViews();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].peer, 3u);
+  EXPECT_EQ(after[0].state, expected);
   EXPECT_EQ(peers_[0]->guard_demoted_links(), 1u);
 }
 

@@ -358,6 +358,24 @@ TEST(StateEpochTest, StableForEqualInputsSensitiveToDeploymentChanges) {
   EXPECT_NE(epoch, ComputeStateEpoch(graph, shard_of, 2, other_ttl));
 }
 
+TEST(StateEpochTest, GuardOffEpochsArePinned) {
+  // A node only restores snapshots written under its own epoch, so an
+  // epoch that moves for an unchanged deployment cold-starts every
+  // restarted shard. Pinned for the guard-off intro deployment, exact and
+  // quantized; change these only together with a note in
+  // docs/DEPLOYMENT.md on which snapshots stop restoring.
+  const std::vector<uint32_t> shard_of = {0, 1, 0, 1};
+  Pdms exact = MakeIntroPdms();
+  EXPECT_EQ(ComputeStateEpoch(exact.graph(), shard_of, 2, exact.options()),
+            0x5c7e94c504e80441ull);
+  EngineOptions budgeted;
+  budgeted.value_precision.error_budget = 1e-3;
+  Pdms quantized = MakeIntroPdms(budgeted);
+  EXPECT_EQ(
+      ComputeStateEpoch(quantized.graph(), shard_of, 2, quantized.options()),
+      0x1de4f7cd347c8147ull);
+}
+
 TEST(SnapshotCodecTest, LinkValueRanksSurviveTheRoundTrip) {
   // A shard crashed mid-trajectory with links at different precision
   // tiers: restore must hand every link its exact rank back, or the
@@ -402,7 +420,7 @@ TEST(SnapshotCodecTest, RejectsOutOfRangeLinkValueRank) {
 TEST(StateEpochTest, ValuePrecisionReKeysTheEpoch) {
   // Quantization changes what travels on the wire and therefore the
   // posteriors: a snapshot taken under one budget must never resume under
-  // another, and each precision knob re-keys independently.
+  // another.
   Pdms pdms = MakeIntroPdms();
   const std::vector<uint32_t> shard_of = {0, 1, 0, 1};
   const EngineOptions options = pdms.options();
@@ -414,15 +432,10 @@ TEST(StateEpochTest, ValuePrecisionReKeysTheEpoch) {
       ComputeStateEpoch(pdms.graph(), shard_of, 2, budgeted);
   EXPECT_NE(epoch, budgeted_epoch);
 
-  EngineOptions fixed_tier = budgeted;
-  fixed_tier.value_precision.adaptive = false;
+  EngineOptions finer = budgeted;
+  finer.value_precision.error_budget = 1e-4;
   EXPECT_NE(budgeted_epoch,
-            ComputeStateEpoch(pdms.graph(), shard_of, 2, fixed_tier));
-
-  EngineOptions exact_tail = budgeted;
-  exact_tail.value_precision.exact_at_convergence = true;
-  EXPECT_NE(budgeted_epoch,
-            ComputeStateEpoch(pdms.graph(), shard_of, 2, exact_tail));
+            ComputeStateEpoch(pdms.graph(), shard_of, 2, finer));
 }
 
 TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
@@ -439,20 +452,20 @@ TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
   for (Peer::Image& peer : snapshot.engine.peers) {
     peer.round = 29;
     for (size_t l = 0; l < peer.links.size(); ++l) {
-      Peer::LinkImage& link = peer.links[l];
-      link.guard_score = 3.25 + static_cast<double>(l);
-      link.guard_demote_level = static_cast<uint32_t>(l % 3);
-      link.guard_rejections = 11 + l;
-      link.guard_equivocations = 5 + l;
-      link.guard_oscillations = 2 + l;
-      link.guard_outliers = 1 + l;
-      link.guard_dropped_bundles = 7 + l;
-      link.guard_round_influence = 0.5 * static_cast<double>(l);
-      link.guard_round_absorbed = static_cast<uint32_t>(l);
+      GuardLinkState& guard = peer.links[l].guard;
+      guard.score = 3.25 + static_cast<double>(l);
+      guard.demote_level = static_cast<uint8_t>(l % 3);
+      guard.rejections = 11 + l;
+      guard.equivocations = 5 + l;
+      guard.oscillations = 2 + l;
+      guard.outliers = 1 + l;
+      guard.dropped_bundles = 7 + l;
+      guard.round_influence = 0.5 * static_cast<double>(l);
+      guard.round_absorbed = static_cast<uint32_t>(l);
       saw_links = true;
     }
     for (size_t s = 0; s < peer.guard_slot_pool.size(); ++s) {
-      Peer::GuardSlot& slot = peer.guard_slot_pool[s];
+      GuardSlot& slot = peer.guard_slot_pool[s];
       slot.last_log_odds = -1.5 + static_cast<double>(s);
       slot.last_round = 28;
       slot.flips = static_cast<uint8_t>(s % 4);
@@ -470,23 +483,7 @@ TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
     EXPECT_EQ(restored.round, expected.round);
     ASSERT_EQ(restored.links.size(), expected.links.size());
     for (size_t l = 0; l < expected.links.size(); ++l) {
-      EXPECT_EQ(restored.links[l].guard_score, expected.links[l].guard_score);
-      EXPECT_EQ(restored.links[l].guard_demote_level,
-                expected.links[l].guard_demote_level);
-      EXPECT_EQ(restored.links[l].guard_rejections,
-                expected.links[l].guard_rejections);
-      EXPECT_EQ(restored.links[l].guard_equivocations,
-                expected.links[l].guard_equivocations);
-      EXPECT_EQ(restored.links[l].guard_oscillations,
-                expected.links[l].guard_oscillations);
-      EXPECT_EQ(restored.links[l].guard_outliers,
-                expected.links[l].guard_outliers);
-      EXPECT_EQ(restored.links[l].guard_dropped_bundles,
-                expected.links[l].guard_dropped_bundles);
-      EXPECT_EQ(restored.links[l].guard_round_influence,
-                expected.links[l].guard_round_influence);
-      EXPECT_EQ(restored.links[l].guard_round_absorbed,
-                expected.links[l].guard_round_absorbed);
+      EXPECT_EQ(restored.links[l].guard, expected.links[l].guard);
     }
     ASSERT_EQ(restored.guard_slot_pool.size(), expected.guard_slot_pool.size());
     for (size_t s = 0; s < expected.guard_slot_pool.size(); ++s) {
@@ -520,7 +517,7 @@ TEST(StateEpochTest, ByzantineKnobsReKeyTheEpoch) {
   EXPECT_NE(epoch, guarded_epoch);
 
   EngineOptions threshold = guarded;
-  threshold.byzantine_guard.soft_threshold += 1.0;
+  threshold.byzantine_guard.demote_threshold += 1.0;
   EXPECT_NE(guarded_epoch,
             ComputeStateEpoch(pdms.graph(), shard_of, 2, threshold));
 

@@ -187,8 +187,7 @@ constexpr size_t kBibliographicPeers = 6;
 /// Byzantine-resilience flags shared by serve and reference mode, so a
 /// guarded shard run stays comparable against a guarded reference run.
 struct ByzantineCli {
-  bool guard = false;
-  double demote_threshold = 6.0;  // soft score; hard quarantine at 2x
+  ByzantineGuardOptions guard;
   double lie_probability = 0.0;
   uint64_t lie_seed = 0;
   std::vector<PeerId> lie_peers;
@@ -203,9 +202,9 @@ int ParseByzantineCli(int argc, char** argv, ByzantineCli* out) {
       guard64 > 1) {
     return UsageError("byzantine-guard", "0 or 1");
   }
-  out->guard = guard64 == 1;
+  out->guard.enabled = guard64 == 1;
   if (!ParsePositiveFlag(argc, argv, "demote-threshold", "6",
-                         &out->demote_threshold)) {
+                         &out->guard.demote_threshold)) {
     return UsageError("demote-threshold", "a positive score");
   }
   if (!ParseRateFlag(argc, argv, "chaos-lie-probability",
@@ -236,11 +235,7 @@ EngineOptions WorkloadOptions(double value_budget,
   // Budget participates in the state epoch: a node restarted with a
   // different --value-error-budget refuses its old snapshots.
   options.value_precision.error_budget = value_budget;
-  if (byzantine.guard) {
-    options.byzantine_guard.enabled = true;
-    options.byzantine_guard.soft_threshold = byzantine.demote_threshold;
-    options.byzantine_guard.hard_threshold = 2.0 * byzantine.demote_threshold;
-  }
+  options.byzantine_guard = byzantine.guard;
   if (!byzantine.lie_peers.empty() && byzantine.lie_probability > 0.0) {
     options.byzantine.seed = byzantine.lie_seed;
     options.byzantine.lie_probability = byzantine.lie_probability;
