@@ -78,8 +78,6 @@ struct BenchResult {
   double rounds_per_sec = 0.0;
   double belief_updates_per_round = 0.0;
   double bytes_per_round = 0.0;
-  double key_bytes_per_round = 0.0;
-  double alias_bytes_per_round = 0.0;
   double value_bytes_per_round = 0.0;
   double header_bytes_per_round = 0.0;
   double round_seconds_p50 = 0.0;
@@ -233,12 +231,6 @@ BenchResult RunConfig(const std::string& topology, const SyntheticPdms& workload
       static_cast<double>(updates) / static_cast<double>(rounds);
   result.bytes_per_round =
       static_cast<double>(pdms.transport().stats().bytes_sent) /
-      static_cast<double>(rounds);
-  result.key_bytes_per_round =
-      static_cast<double>(pdms.transport().stats().key_bytes_sent) /
-      static_cast<double>(rounds);
-  result.alias_bytes_per_round =
-      static_cast<double>(pdms.transport().stats().alias_bytes_sent) /
       static_cast<double>(rounds);
   result.value_bytes_per_round =
       static_cast<double>(pdms.transport().stats().value_bytes_sent) /
@@ -498,6 +490,9 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"scale_10k\",\n");
+  // v7: - the fingerprint-byte and alias-header-byte columns (v2, v3): the
+  //     transports account total and µ-value bytes only, both counted by
+  //     the encoder; a steady-state fingerprint fails a unit test instead.
   // v6: + adversary_runs — guarded runs under seeded Byzantine plans
   //     (lying / equivocating peers), scored on honest-subnetwork
   //     posterior drift, lying-link demotion recall and the clean-run
@@ -509,13 +504,13 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   // v4: + fault_runs — drop × duplicate × reorder robustness sweep
   //     (engine-visible faults on belief rounds; convergence cost and
   //     residual posterior error vs the fault-free run).
-  // v3: + alias_bytes_per_round (belief-bundle alias/header overhead);
-  //     key_bytes_per_round now counts only unacked binding declarations
-  //     (the session-alias wire format), and measured rounds start after
-  //     the 3-step negotiation warm-up.
-  // v2: + key_bytes_per_round (FactorId fingerprint bytes on the wire)
+  // v3: + alias-header bytes per round (belief-bundle alias overhead);
+  //     fingerprint bytes count only unacked binding declarations (the
+  //     session-alias wire format), and measured rounds start after the
+  //     3-step negotiation warm-up.
+  // v2: + fingerprint bytes per round (FactorId bytes on the wire)
   //     + round_seconds_p50 / round_seconds_p95 per-round latency.
-  std::fprintf(out, "  \"schema_version\": 6,\n");
+  std::fprintf(out, "  \"schema_version\": 7,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));
@@ -530,8 +525,7 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
         "\"value_budget\": %.1e, "
         "\"discover_seconds\": %.6f, \"seconds\": %.6f, "
         "\"rounds_per_sec\": %.3f, \"belief_updates_per_round\": %.1f, "
-        "\"bytes_per_round\": %.1f, \"key_bytes_per_round\": %.1f, "
-        "\"alias_bytes_per_round\": %.1f, \"value_bytes_per_round\": %.1f, "
+        "\"bytes_per_round\": %.1f, \"value_bytes_per_round\": %.1f, "
         "\"header_bytes_per_round\": %.1f, "
         "\"round_seconds_p50\": %.6f, \"round_seconds_p95\": %.6f, "
         "\"speedup_vs_serial\": %.3f, "
@@ -539,7 +533,6 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
         r.topology.c_str(), r.peers, r.edges, r.factors, r.parallelism,
         r.rounds, r.value_budget, r.discover_seconds, r.seconds,
         r.rounds_per_sec, r.belief_updates_per_round, r.bytes_per_round,
-        r.key_bytes_per_round, r.alias_bytes_per_round,
         r.value_bytes_per_round, r.header_bytes_per_round,
         r.round_seconds_p50, r.round_seconds_p95, r.speedup_vs_serial,
         r.max_posterior_diff_vs_serial, i + 1 < results.size() ? "," : "");
@@ -720,17 +713,11 @@ int Main(int argc, char** argv) {
         if (result.max_posterior_diff_vs_serial > 1e-12) deterministic = false;
         std::printf(
             "%s n=%-6zu edges=%-6zu factors=%-7zu p=%zu  %8.2f rounds/s  "
-            "(x%.2f vs serial)  %.1f MB/round (%.1f%% key, %.1f%% alias hdr)  "
+            "(x%.2f vs serial)  %.1f MB/round  "
             "p50/p95=%.1f/%.1f ms  max|Δposterior|=%.1e\n",
             topology.c_str(), result.peers, result.edges, result.factors,
             result.parallelism, result.rounds_per_sec,
             result.speedup_vs_serial, result.bytes_per_round / 1e6,
-            result.bytes_per_round > 0.0
-                ? 100.0 * result.key_bytes_per_round / result.bytes_per_round
-                : 0.0,
-            result.bytes_per_round > 0.0
-                ? 100.0 * result.alias_bytes_per_round / result.bytes_per_round
-                : 0.0,
             result.round_seconds_p50 * 1e3, result.round_seconds_p95 * 1e3,
             result.max_posterior_diff_vs_serial);
         results.push_back(std::move(result));

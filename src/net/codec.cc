@@ -11,6 +11,10 @@
 namespace pdms {
 namespace {
 
+/// Zigzag mapping of a signed value onto the unsigned varint domain
+/// (0, -1, 1, -2, … -> 0, 1, 2, 3, …): ascending sequences with small
+/// steps encode in one byte, and an out-of-order group or position is
+/// merely larger, never wrong.
 uint64_t ZigZag(int64_t delta) {
   return (static_cast<uint64_t>(delta) << 1) ^
          static_cast<uint64_t>(delta >> 63);
@@ -24,21 +28,26 @@ int64_t UnZigZag(uint64_t value) {
 //
 // One templated encoding pass serves both the size computation (CountingSink)
 // and the actual serialization (AppendSink); the two can therefore never
-// drift apart.
+// drift apart. `ValueBytes` books bytes the pass already wrote as µ values
+// (see `PutValue`); only the counting sink keeps that split.
 
 struct CountingSink {
-  size_t size = 0;
-  void Byte(uint8_t) { ++size; }
-  void Bytes(const void*, size_t n) { size += n; }
+  WireBreakdown counts;
+  size_t size() const { return counts.bytes; }
+  void Byte(uint8_t) { ++counts.bytes; }
+  void Bytes(const void*, size_t n) { counts.bytes += n; }
+  void ValueBytes(size_t n) { counts.value_bytes += n; }
 };
 
 struct AppendSink {
   std::vector<uint8_t>* out;
+  size_t size() const { return out->size(); }
   void Byte(uint8_t b) { out->push_back(b); }
   void Bytes(const void* data, size_t n) {
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
     out->insert(out->end(), bytes, bytes + n);
   }
+  void ValueBytes(size_t) {}
 };
 
 template <typename Sink>
@@ -83,6 +92,23 @@ void PutString(Sink& sink, const std::string& value) {
   sink.Bytes(value.data(), value.size());
 }
 
+/// The one writer of µ values: a quantized entry travels as its quantum's
+/// `QuantWireToken` varint, every other value (raw bundle entries, query
+/// piggybacks) as two raw doubles. Its bytes are also the payload's
+/// `value_bytes`.
+template <typename Sink>
+void PutValue(Sink& sink, const Belief& belief,
+              std::optional<int64_t> quant = std::nullopt) {
+  const size_t before = sink.size();
+  if (quant) {
+    PutVarint(sink, QuantWireToken(*quant));
+  } else {
+    PutDouble(sink, belief.correct);
+    PutDouble(sink, belief.incorrect);
+  }
+  sink.ValueBytes(sink.size() - before);
+}
+
 // --- Payload encoding ----------------------------------------------------------
 
 template <typename Sink>
@@ -124,7 +150,6 @@ void EncodeFeedback(const FeedbackAnnouncement& message, Sink& sink) {
 
 template <typename Sink>
 void EncodeBelief(const BeliefMessage& message, Sink& sink) {
-  // Byte-for-byte the model `BundleBreakdown` (message.cc) accounts:
   // varint(epoch) + varint(ack) + varint(value_bits) + varint(#groups);
   // per group the zigzag alias-delta token (low bit = "full id present"),
   // the optional 16-byte fingerprint, varint(#entries); per entry a
@@ -159,12 +184,8 @@ void EncodeBelief(const BeliefMessage& message, Sink& sink) {
       PutVarint(sink, ZigZag(static_cast<int64_t>(entry.position) -
                              static_cast<int64_t>(previous_position)));
       previous_position = entry.position;
-      if (quantized) {
-        PutVarint(sink, QuantWireToken(entry.quant));
-      } else {
-        PutDouble(sink, entry.belief.correct);
-        PutDouble(sink, entry.belief.incorrect);
-      }
+      PutValue(sink, entry.belief,
+               quantized ? std::optional<int64_t>(entry.quant) : std::nullopt);
     }
   }
 }
@@ -190,8 +211,7 @@ void EncodeQuery(const QueryMessage& message, Sink& sink) {
     assert(update.position <= std::numeric_limits<uint16_t>::max() &&
            "piggyback position exceeds the uint16 wire field");
     PutFixed16(sink, static_cast<uint16_t>(update.position));
-    PutDouble(sink, update.belief.correct);
-    PutDouble(sink, update.belief.incorrect);
+    PutValue(sink, update.belief);
   }
 }
 
@@ -589,19 +609,27 @@ Status DecodeQuery(Reader& reader, QueryMessage* message) {
 
 }  // namespace
 
-size_t EncodedPayloadSize(const Payload& payload) {
+uint64_t QuantWireToken(int64_t quant) {
+  if (quant == kQuantPosInf) return 0;
+  if (quant == kQuantNegInf) return 1;
+  return ZigZag(quant) + 2;
+}
+
+int64_t QuantFromWireToken(uint64_t token) {
+  if (token == 0) return kQuantPosInf;
+  if (token == 1) return kQuantNegInf;
+  return UnZigZag(token - 2);
+}
+
+WireBreakdown PayloadWireBreakdown(const Payload& payload) {
   CountingSink sink;
   EncodePayloadTo(payload, sink);
-  return sink.size;
+  return sink.counts;
 }
 
 void EncodePayload(const Payload& payload, std::vector<uint8_t>* out) {
-  const size_t before = out->size();
   AppendSink sink{out};
   EncodePayloadTo(payload, sink);
-  (void)before;
-  assert(out->size() - before == PayloadWireBreakdown(payload).bytes &&
-         "encoder and wire-size accounting disagree");
 }
 
 Result<Payload> DecodePayload(MessageKind kind,
@@ -756,9 +784,9 @@ void EncodeFrame(const Frame& frame, uint64_t link_seq,
   CountingSink counter;
   PutVarint(counter, link_seq);
   EncodeFrameBodyTo(frame, counter);
-  assert(counter.size <= kMaxFrameBytes && "frame exceeds kMaxFrameBytes");
+  assert(counter.size() <= kMaxFrameBytes && "frame exceeds kMaxFrameBytes");
   AppendSink sink{out};
-  PutFixed32(sink, static_cast<uint32_t>(counter.size));
+  PutFixed32(sink, static_cast<uint32_t>(counter.size()));
   const size_t crc_at = out->size();
   PutFixed32(sink, 0);  // checksum backpatched below
   const size_t covered_at = out->size();

@@ -15,14 +15,13 @@ namespace pdms {
 
 // --- Payload codec -------------------------------------------------------------
 //
-// The exact binary realization of the wire model `ApproximateWireSize` has
-// been accounting since PR 3: LEB128 varints for counts and headers, zigzag
-// deltas for belief aliases and member positions, raw little-endian doubles
-// for message values, and 16-byte fingerprints only where a binding is
-// declared. The encoder is the single source of truth for payload byte
-// counts — `ApproximateWireSize` now derives from it (the belief fast path
-// keeps its one-pass model and is cross-checked against the encoder in
-// debug builds), so the bench gates measure real bytes.
+// The binary wire format of every payload, and the one size model of it:
+// LEB128 varints for counts and headers, zigzag deltas for belief aliases
+// and member positions, raw little-endian doubles or quantum varints for
+// message values, and 16-byte fingerprints only where a binding is
+// declared. One templated encoding pass both writes the bytes
+// (`EncodePayload`) and counts them (`PayloadWireBreakdown`), so every
+// byte a transport accounts is a byte the encoder produces.
 //
 // Decoding is strict: truncated input, overlong or non-minimal varints,
 // counts exceeding the bytes that could back them, aliases beyond
@@ -47,11 +46,29 @@ inline constexpr uint8_t kWireFormatVersion = 4;
 /// are dense small ids, so the all-ones pattern is never a real attribute.
 inline constexpr uint32_t kNullAttributeWire = 0xffffffffu;
 
-/// Exact encoded size of `payload`, by a counting pass of the encoder.
-size_t EncodedPayloadSize(const Payload& payload);
+/// Wire token of a quantum: 0 / 1 are the ±inf sentinels, everything
+/// else zigzag(q) + 2.
+uint64_t QuantWireToken(int64_t quant);
 
-/// Appends the encoding of `payload` to `out`. In debug builds, asserts
-/// that the bytes produced equal `PayloadWireBreakdown(payload).bytes`.
+/// Inverse of `QuantWireToken` (no range validation; the decoder bounds
+/// the result against the declared precision).
+int64_t QuantFromWireToken(uint64_t token);
+
+/// The encoded size of a payload, split the way the transports account
+/// it: `value_bytes` is the µ values themselves (raw doubles or quantum
+/// varints of belief bundles, and query piggyback doubles), so
+/// `bytes - value_bytes` is the header share reported as
+/// `header_bytes_sent`.
+struct WireBreakdown {
+  size_t bytes = 0;
+  size_t value_bytes = 0;
+};
+
+/// The byte counts of `payload`, by a counting pass of the encoder:
+/// `bytes` is exactly what `EncodePayload` appends.
+WireBreakdown PayloadWireBreakdown(const Payload& payload);
+
+/// Appends the encoding of `payload` to `out`.
 void EncodePayload(const Payload& payload, std::vector<uint8_t>* out);
 
 /// Decodes a payload of `kind` from exactly `bytes` (trailing bytes are an

@@ -1,11 +1,8 @@
 #include "net/message.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <type_traits>
 
-#include "net/codec.h"
 #include "util/string_util.h"
 
 namespace pdms {
@@ -141,30 +138,6 @@ Belief DequantizeLogOdds(int64_t quant, uint32_t bits) {
                 1.0 / (1.0 + std::exp(log_odds))};
 }
 
-namespace {
-
-/// Zigzag mapping of a signed value onto the unsigned varint domain
-/// (0, -1, 1, -2, … -> 0, 1, 2, 3, …).
-uint64_t ZigZagQuant(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-}  // namespace
-
-uint64_t QuantWireToken(int64_t quant) {
-  if (quant == kQuantPosInf) return 0;
-  if (quant == kQuantNegInf) return 1;
-  return ZigZagQuant(quant) + 2;
-}
-
-int64_t QuantFromWireToken(uint64_t token) {
-  if (token == 0) return kQuantPosInf;
-  if (token == 1) return kQuantNegInf;
-  const uint64_t zigzag = token - 2;
-  return static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-}
-
 void BeliefMessage::QuantizeValues(uint32_t bits) {
   value_bits = bits;
   if (bits == 0) return;
@@ -201,116 +174,6 @@ std::string_view MessageKindName(MessageKind kind) {
 
 MessageKind KindOf(const Payload& payload) {
   return static_cast<MessageKind>(payload.index());
-}
-
-size_t VarintWireSize(uint64_t value) {
-  size_t bytes = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++bytes;
-  }
-  return bytes;
-}
-
-namespace {
-
-/// Zigzag mapping of a signed delta onto the unsigned varint domain
-/// (0, -1, 1, -2, … -> 0, 1, 2, 3, …): ascending sequences with small
-/// steps encode in one byte, and an out-of-order group or position is
-/// merely larger, never wrong.
-uint64_t ZigZag(int64_t delta) {
-  return (static_cast<uint64_t>(delta) << 1) ^
-         static_cast<uint64_t>(delta >> 63);
-}
-
-/// All byte accounts of a bundle in one walk: alias headers (epoch + ack +
-/// value-format + counts + alias tokens), fingerprints (16 per
-/// unacknowledged group), the delta-encoded positions and the values
-/// (raw doubles or quantum varints); `bytes` is their sum.
-WireBreakdown BundleBreakdown(const BeliefMessage& message) {
-  WireBreakdown breakdown;
-  breakdown.alias_bytes = VarintWireSize(message.epoch) +
-                          VarintWireSize(message.ack) +
-                          VarintWireSize(message.value_bits) +
-                          VarintWireSize(message.groups.size());
-  const bool quantized = message.value_bits != 0;
-  size_t position_bytes = 0;
-  uint32_t previous_alias = 0;
-  for (const BeliefGroup& group : message.groups) {
-    const bool has_id = !group.id.IsNil();
-    const uint64_t token =
-        (ZigZag(static_cast<int64_t>(group.alias) -
-                static_cast<int64_t>(previous_alias))
-         << 1) |
-        (has_id ? 1 : 0);
-    breakdown.alias_bytes +=
-        VarintWireSize(token) + VarintWireSize(group.entry_count);
-    if (has_id) breakdown.key_bytes += sizeof(FactorId);
-    previous_alias = group.alias;
-    uint32_t previous_position = 0;
-    for (const BeliefEntry& entry : message.EntriesOf(group)) {
-      position_bytes +=
-          VarintWireSize(ZigZag(static_cast<int64_t>(entry.position) -
-                                static_cast<int64_t>(previous_position)));
-      breakdown.value_bytes = breakdown.value_bytes +
-          (quantized ? VarintWireSize(QuantWireToken(entry.quant))
-                     : 2 * sizeof(double));
-      previous_position = entry.position;
-    }
-  }
-  breakdown.bytes = breakdown.alias_bytes + breakdown.key_bytes +
-                    position_bytes + breakdown.value_bytes;
-  return breakdown;
-}
-
-}  // namespace
-
-size_t ApproximateWireSize(const Payload& payload) {
-  // Sizes come from the real encoder (`src/net/codec.cc`), so the bytes
-  // the bench gates account can never drift from the bytes a socket
-  // actually moves. Belief bundles — the per-round hot case — keep the
-  // one-pass `BundleBreakdown` model; debug builds cross-check it against
-  // a counting pass of the encoder.
-  if (const auto* beliefs = std::get_if<BeliefMessage>(&payload)) {
-    const size_t modeled = BundleBreakdown(*beliefs).bytes;
-    assert(modeled == EncodedPayloadSize(payload) &&
-           "belief wire model diverged from the encoder");
-    return modeled;
-  }
-  return EncodedPayloadSize(payload);
-}
-
-size_t FactorIdWireBytes(const Payload& payload) {
-  if (const auto* beliefs = std::get_if<BeliefMessage>(&payload)) {
-    return BundleBreakdown(*beliefs).key_bytes;
-  }
-  if (const auto* query = std::get_if<QueryMessage>(&payload)) {
-    return query->piggyback.size() * sizeof(FactorId);
-  }
-  return 0;
-}
-
-size_t AliasWireBytes(const Payload& payload) {
-  if (const auto* beliefs = std::get_if<BeliefMessage>(&payload)) {
-    return BundleBreakdown(*beliefs).alias_bytes;
-  }
-  return 0;
-}
-
-WireBreakdown PayloadWireBreakdown(const Payload& payload) {
-  // Belief bundles — the per-round hot case — are broken down in a single
-  // walk; everything else has no alias bytes and cheap key accounting.
-  if (const auto* beliefs = std::get_if<BeliefMessage>(&payload)) {
-    return BundleBreakdown(*beliefs);
-  }
-  WireBreakdown breakdown;
-  breakdown.bytes = ApproximateWireSize(payload);
-  breakdown.key_bytes = FactorIdWireBytes(payload);
-  if (const auto* query = std::get_if<QueryMessage>(&payload)) {
-    // Lazy-schedule piggybacks always travel as raw doubles.
-    breakdown.value_bytes = query->piggyback.size() * 2 * sizeof(double);
-  }
-  return breakdown;
 }
 
 }  // namespace pdms

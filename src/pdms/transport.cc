@@ -5,39 +5,12 @@
 #include <cassert>
 #include <iterator>
 
-#include "util/string_util.h"
-
 namespace pdms {
 
 uint64_t TransportStats::TotalSent() const {
   uint64_t total = 0;
   for (uint64_t s : sent) total += s;
   return total;
-}
-
-std::string TransportStats::ToString() const {
-  std::string out;
-  for (size_t k = 0; k < kMessageKindCount; ++k) {
-    out += StrFormat("%s: sent=%llu dropped=%llu delivered=%llu\n",
-                     std::string(MessageKindName(static_cast<MessageKind>(k)))
-                         .c_str(),
-                     static_cast<unsigned long long>(sent[k]),
-                     static_cast<unsigned long long>(dropped[k]),
-                     static_cast<unsigned long long>(delivered[k]));
-  }
-  out += StrFormat("bytes_sent=%llu key_bytes_sent=%llu alias_bytes_sent=%llu\n",
-                   static_cast<unsigned long long>(bytes_sent),
-                   static_cast<unsigned long long>(key_bytes_sent),
-                   static_cast<unsigned long long>(alias_bytes_sent));
-  out += StrFormat("value_bytes_sent=%llu header_bytes_sent=%llu\n",
-                   static_cast<unsigned long long>(value_bytes_sent),
-                   static_cast<unsigned long long>(header_bytes_sent));
-  if (frames_dropped_at_shutdown > 0) {
-    out += StrFormat(
-        "frames_dropped_at_shutdown=%llu\n",
-        static_cast<unsigned long long>(frames_dropped_at_shutdown));
-  }
-  return out;
 }
 
 void AtomicTransportStats::SnapshotTo(TransportStats* out) const {
@@ -47,8 +20,6 @@ void AtomicTransportStats::SnapshotTo(TransportStats* out) const {
     out->delivered[k] = delivered[k].load(std::memory_order_relaxed);
   }
   out->bytes_sent = bytes_sent.load(std::memory_order_relaxed);
-  out->key_bytes_sent = key_bytes_sent.load(std::memory_order_relaxed);
-  out->alias_bytes_sent = alias_bytes_sent.load(std::memory_order_relaxed);
   out->value_bytes_sent = value_bytes_sent.load(std::memory_order_relaxed);
   out->header_bytes_sent = out->bytes_sent - out->value_bytes_sent;
   out->frames_dropped_at_shutdown =
@@ -61,8 +32,6 @@ void AtomicTransportStats::Reset() {
     delivered[k].store(0, std::memory_order_relaxed);
   }
   bytes_sent.store(0, std::memory_order_relaxed);
-  key_bytes_sent.store(0, std::memory_order_relaxed);
-  alias_bytes_sent.store(0, std::memory_order_relaxed);
   value_bytes_sent.store(0, std::memory_order_relaxed);
   frames_dropped_at_shutdown.store(0, std::memory_order_relaxed);
 }

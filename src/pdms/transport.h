@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
+#include "net/codec.h"
 #include "net/message.h"
 
 namespace pdms {
@@ -22,17 +22,9 @@ struct TransportStats {
   /// `FaultInjectingTransport` adds its own drops to its inner ledger).
   std::array<uint64_t, kMessageKindCount> dropped{};
   std::array<uint64_t, kMessageKindCount> delivered{};
-  /// Estimated payload bytes accepted for delivery (drops excluded), per
-  /// `ApproximateWireSize` — the "bytes moved" of the scale benchmarks.
+  /// Encoded payload bytes accepted for delivery (drops excluded), per
+  /// `PayloadWireBreakdown` — the "bytes moved" of the scale benchmarks.
   uint64_t bytes_sent = 0;
-  /// The subset of `bytes_sent` spent on factor-identity fingerprints
-  /// (`FactorIdWireBytes`) — the key overhead the scale benchmarks track.
-  /// With session aliasing this decays to ~0 once bindings are acked.
-  uint64_t key_bytes_sent = 0;
-  /// The subset of `bytes_sent` spent on belief-bundle alias headers
-  /// (`AliasWireBytes`) — what the alias scheme pays to *replace* the
-  /// fingerprints; reported as `alias_bytes_per_round` by the benchmarks.
-  uint64_t alias_bytes_sent = 0;
   /// The subset of `bytes_sent` spent on the µ values themselves
   /// (`WireBreakdown::value_bytes`: raw doubles, or quantum varints under
   /// a value error budget) — the share the quantized wire format attacks.
@@ -48,7 +40,6 @@ struct TransportStats {
   uint64_t frames_dropped_at_shutdown = 0;
 
   uint64_t TotalSent() const;
-  std::string ToString() const;
 };
 
 /// Internal: lock-free counter block behind `TransportStats`, shared by the
@@ -59,8 +50,6 @@ struct AtomicTransportStats {
   std::array<std::atomic<uint64_t>, kMessageKindCount> sent{};
   std::array<std::atomic<uint64_t>, kMessageKindCount> delivered{};
   std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> key_bytes_sent{0};
-  std::atomic<uint64_t> alias_bytes_sent{0};
   std::atomic<uint64_t> value_bytes_sent{0};
   std::atomic<uint64_t> frames_dropped_at_shutdown{0};
 
@@ -70,8 +59,6 @@ struct AtomicTransportStats {
   void CountSent(MessageKind kind, const WireBreakdown& wire) {
     sent[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
     bytes_sent.fetch_add(wire.bytes, std::memory_order_relaxed);
-    key_bytes_sent.fetch_add(wire.key_bytes, std::memory_order_relaxed);
-    alias_bytes_sent.fetch_add(wire.alias_bytes, std::memory_order_relaxed);
     value_bytes_sent.fetch_add(wire.value_bytes, std::memory_order_relaxed);
   }
   void CountDelivered(MessageKind kind, uint64_t count = 1) {

@@ -103,12 +103,24 @@ TEST(FactorIdTest, StableRendering) {
 }
 
 TEST(VarintTest, WireSizeGrowsEverySevenBits) {
-  EXPECT_EQ(VarintWireSize(0), 1u);
-  EXPECT_EQ(VarintWireSize(127), 1u);
-  EXPECT_EQ(VarintWireSize(128), 2u);
-  EXPECT_EQ(VarintWireSize((1u << 14) - 1), 2u);
-  EXPECT_EQ(VarintWireSize(1u << 14), 3u);
-  EXPECT_EQ(VarintWireSize(~0ull), 10u);
+  // An empty bundle is four varints: epoch, ack, value format, #groups.
+  const auto ack_bytes = [](uint32_t ack) {
+    BeliefMessage bundle;
+    bundle.ack = ack;
+    return PayloadWireBreakdown(Payload{bundle}).bytes - 3;
+  };
+  EXPECT_EQ(ack_bytes(0), 1u);
+  EXPECT_EQ(ack_bytes(127), 1u);
+  EXPECT_EQ(ack_bytes(128), 2u);
+  EXPECT_EQ(ack_bytes((1u << 14) - 1), 2u);
+  EXPECT_EQ(ack_bytes(1u << 14), 3u);
+  EXPECT_EQ(ack_bytes(~0u), 5u);
+  // A full 64-bit varint (a feedback announcement's closure split) grows
+  // from 1 byte at 0 to 10.
+  FeedbackAnnouncement feedback;
+  const size_t split_zero = PayloadWireBreakdown(Payload{feedback}).bytes;
+  feedback.closure.split = ~size_t{0};
+  EXPECT_EQ(PayloadWireBreakdown(Payload{feedback}).bytes, split_zero + 9);
 }
 
 TEST(AliasSessionTest, TxAssignsDenselyAndIdempotently) {
@@ -149,40 +161,54 @@ TEST(BeliefWireFormatTest, BareAliasGroupsBeatTheFingerprintEncoding) {
   // format(1) + #groups(1) + alias token(1) + fingerprint(16) +
   // #entries(1) + position(1) + 16.
   const BeliefMessage first = MakeBelief();
-  EXPECT_EQ(ApproximateWireSize(Payload{first}), 39u);
-  EXPECT_EQ(FactorIdWireBytes(Payload{first}), 16u);
-  EXPECT_EQ(AliasWireBytes(Payload{first}), 6u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{first}).bytes, 39u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{first}).value_bytes, 16u);
 
   // Steady state (acked binding): the fingerprint is gone and the same
   // update costs 23 bytes against 34 under the pre-alias encoding — the
   // worst case (singleton group); multi-update groups amortize further.
   BeliefMessage steady;
   steady.AddGroup(0, FactorId{}, {BeliefEntry{0, Belief::FromProbability(0.7)}});
-  EXPECT_EQ(ApproximateWireSize(Payload{steady}), 23u);
-  EXPECT_EQ(FactorIdWireBytes(Payload{steady}), 0u);
-  EXPECT_EQ(AliasWireBytes(Payload{steady}), 6u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{steady}).bytes, 23u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{steady}).value_bytes, 16u);
 
   // One alias header amortized over three delta-encoded entries.
   BeliefMessage grouped;
   grouped.AddGroup(3, FactorId{},
                    {BeliefEntry{0, Belief::Unit()}, BeliefEntry{1, Belief::Unit()},
                     BeliefEntry{2, Belief::Unit()}});
-  EXPECT_EQ(ApproximateWireSize(Payload{grouped}), 4u + 2u + 3u * 17u);
-
-  // The one-pass transport breakdown agrees with the per-metric functions.
-  for (const BeliefMessage& message : {first, steady, grouped}) {
-    const WireBreakdown breakdown = PayloadWireBreakdown(Payload{message});
-    EXPECT_EQ(breakdown.bytes, ApproximateWireSize(Payload{message}));
-    EXPECT_EQ(breakdown.key_bytes, FactorIdWireBytes(Payload{message}));
-    EXPECT_EQ(breakdown.alias_bytes, AliasWireBytes(Payload{message}));
-  }
+  EXPECT_EQ(PayloadWireBreakdown(Payload{grouped}).bytes, 4u + 2u + 3u * 17u);
+  // 16 value bytes per raw entry: two doubles.
+  EXPECT_EQ(PayloadWireBreakdown(Payload{grouped}).value_bytes, 3u * 16u);
 
   // Positions past the one-byte varint range cost exact zigzag-delta
   // varints (two bytes each here).
   BeliefMessage wide;
   wide.AddGroup(0, FactorId{},
                 {BeliefEntry{64, Belief::Unit()}, BeliefEntry{200, Belief::Unit()}});
-  EXPECT_EQ(ApproximateWireSize(Payload{wide}), 4u + 2u + (2u + 16u) + (2u + 16u));
+  EXPECT_EQ(PayloadWireBreakdown(Payload{wide}).bytes,
+            4u + 2u + (2u + 16u) + (2u + 16u));
+}
+
+TEST(BeliefWireFormatTest, ValueBytesAreTheMuValuesOnly) {
+  // A query piggyback carries its value as two raw doubles; the
+  // fingerprint, position and query structure around it are header.
+  QueryMessage query;
+  EXPECT_EQ(PayloadWireBreakdown(Payload{query}).value_bytes, 0u);
+  query.piggyback = {
+      BeliefUpdate{FactorId{1, 2}, 0, Belief::FromProbability(0.9)},
+      BeliefUpdate{FactorId{3, 4}, 1, Belief::FromProbability(0.2)}};
+  const WireBreakdown piggybacked = PayloadWireBreakdown(Payload{query});
+  EXPECT_EQ(piggybacked.value_bytes, 2u * 16u);
+  EXPECT_GT(piggybacked.bytes, piggybacked.value_bytes);
+  // Discovery traffic carries no µ values (the feedback delta is a
+  // closure parameter, not a message value).
+  for (const Payload& payload :
+       {Payload{ProbeMessage{}}, Payload{FeedbackAnnouncement{}}}) {
+    const WireBreakdown breakdown = PayloadWireBreakdown(payload);
+    EXPECT_GT(breakdown.bytes, 0u);
+    EXPECT_EQ(breakdown.value_bytes, 0u);
+  }
 }
 
 // --- Quantized belief values ---------------------------------------------------
@@ -247,7 +273,10 @@ TEST(QuantizationTest, WireTokensRoundTripIncludingSentinels) {
     EXPECT_EQ(QuantFromWireToken(QuantWireToken(quant)), quant);
   }
   // Saturated small-tier quanta stay one byte on the wire.
-  EXPECT_EQ(VarintWireSize(QuantWireToken(0)), 1u);
+  BeliefMessage neutral;
+  neutral.AddGroup(0, FactorId{}, {BeliefEntry{0, Belief{1.0, 1.0}}});
+  neutral.QuantizeValues(2);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{neutral}).value_bytes, 1u);
 }
 
 TEST(SimTransportTest, DeliversAfterDelay) {
@@ -304,9 +333,9 @@ TEST(FaultLossTest, DroppedEnvelopesAreExcludedFromBytes) {
   EXPECT_EQ(network.stats().sent[kBelief], 1u);
   EXPECT_EQ(network.stats().dropped[kBelief], 1u);
   // Byte accounting excludes dropped envelopes: only the probe's bytes
-  // (and none of the belief bundle's fingerprint bytes) are recorded.
-  EXPECT_EQ(network.stats().bytes_sent, ApproximateWireSize(ProbeMessage{}));
-  EXPECT_EQ(network.stats().key_bytes_sent, 0u);
+  // are recorded.
+  EXPECT_EQ(network.stats().bytes_sent,
+            PayloadWireBreakdown(ProbeMessage{}).bytes);
 }
 
 TEST(FaultLossTest, LossRateIsApproximatelyRespected) {
@@ -338,7 +367,6 @@ TEST(SimTransportTest, StatsCountPerKind) {
   network.Drain(2);
   EXPECT_EQ(
       network.stats().delivered[static_cast<size_t>(MessageKind::kQuery)], 1u);
-  EXPECT_NE(network.stats().ToString().find("belief"), std::string::npos);
 }
 
 /// Every counter of `actual` equals `expected`.
@@ -348,8 +376,6 @@ void ExpectSameStats(const TransportStats& actual,
   EXPECT_EQ(actual.dropped, expected.dropped);
   EXPECT_EQ(actual.delivered, expected.delivered);
   EXPECT_EQ(actual.bytes_sent, expected.bytes_sent);
-  EXPECT_EQ(actual.key_bytes_sent, expected.key_bytes_sent);
-  EXPECT_EQ(actual.alias_bytes_sent, expected.alias_bytes_sent);
   EXPECT_EQ(actual.value_bytes_sent, expected.value_bytes_sent);
   EXPECT_EQ(actual.header_bytes_sent, expected.header_bytes_sent);
 }
@@ -445,9 +471,7 @@ std::vector<uint8_t> Encoded(const Payload& payload) {
 /// acceptance criterion tying `PayloadWireBreakdown` to real bytes.
 void ExpectRoundTrip(const Payload& payload) {
   const std::vector<uint8_t> bytes = Encoded(payload);
-  EXPECT_EQ(bytes.size(), EncodedPayloadSize(payload));
   EXPECT_EQ(bytes.size(), PayloadWireBreakdown(payload).bytes);
-  EXPECT_EQ(bytes.size(), ApproximateWireSize(payload));
   auto decoded = DecodePayload(KindOf(payload), bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(KindOf(*decoded), KindOf(payload));
@@ -710,7 +734,7 @@ TEST(CodecTest, QuantizedBundlesRoundTripByteIdenticallyAtEveryTier) {
   BeliefMessage steady;
   steady.AddGroup(0, FactorId{}, {BeliefEntry{0, Belief{1.0, 1.0}}});
   steady.QuantizeValues(13);
-  EXPECT_EQ(ApproximateWireSize(Payload{steady}), 4u + 2u + 1u + 1u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{steady}).bytes, 4u + 2u + 1u + 1u);
   EXPECT_EQ(PayloadWireBreakdown(Payload{steady}).value_bytes, 1u);
 }
 

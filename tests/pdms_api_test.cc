@@ -2,17 +2,20 @@
 // Transport conformance contract shared by SimTransport (at delay 1 and
 // delay 0) and SocketTransport, transport-equivalence of inference
 // results and of query reports, query dedup, the session observer hook,
-// and the Result<T> utilities it leans on.
+// the steady-state wire gate, and the Result<T> utilities it leans on.
 
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "graph/topology.h"
+#include "net/codec.h"
 #include "net/fault_injection.h"
 #include "net/socket_transport.h"
 #include "pdms/pdms.h"
@@ -1028,6 +1031,122 @@ TEST(QueryPlaneEquivalenceTest, MailIndexedDeliveryMatchesTheScanAllPath) {
       EXPECT_GT(reached, 2 * scan.reports.size());  // multi-hop traffic
       EXPECT_GT(blocked, 0u);                       // the θ-gate bit
       ExpectSameReports(scan, RunQueryStream(schedule, instant, false));
+    }
+  }
+}
+
+/// Forwards everything to `inner` and keeps a copy of every payload sent,
+/// so a test can inspect exactly what went on the wire.
+class RecordingTransport final : public Transport {
+ public:
+  explicit RecordingTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+  std::string_view name() const override { return "recording"; }
+  size_t peer_count() const override { return inner_->peer_count(); }
+  uint64_t now() const override { return inner_->now(); }
+  void AdvanceTick() override { inner_->AdvanceTick(); }
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      sent_.push_back(payload);
+    }
+    inner_->Send(from, to, via, std::move(payload));
+  }
+  std::vector<Envelope> Drain(PeerId peer) override {
+    return inner_->Drain(peer);
+  }
+  void DrainInto(PeerId peer, std::vector<Envelope>* out) override {
+    inner_->DrainInto(peer, out);
+  }
+  bool HasPendingMessages() const override {
+    return inner_->HasPendingMessages();
+  }
+  PeerId NextPeerWithMail(PeerId from) const override {
+    return inner_->NextPeerWithMail(from);
+  }
+  const TransportStats& stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+  /// The payloads sent since the last call, in send order.
+  std::vector<Payload> TakeSent() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(sent_, {});
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::mutex mutex_;
+  std::vector<Payload> sent_;
+};
+
+// Steady-state wire gate on the scale bench's smoke shapes (1k-peer
+// symmetrized BA and ER networks, length-2 cycles): after the 3-step
+// alias negotiation no belief group may carry a fingerprint, and the
+// bytes the transport accounts must be exactly the encoded bytes of what
+// it was handed.
+TEST(WireLedgerTest, SteadyStateRoundsSendNoFingerprints) {
+  constexpr size_t kPeers = 1000;
+  for (const std::string topology : {"ba", "er"}) {
+    Rng rng(2026 + kPeers);
+    Digraph graph = topology == "ba"
+                        ? topology::BarabasiAlbert(kPeers, 2, &rng)
+                        : topology::ErdosRenyi(kPeers, 2.0 / kPeers, &rng);
+    topology::Symmetrize(&graph);
+    MappingNetworkOptions network_options;
+    network_options.attributes_per_schema = 6;
+    network_options.error_rate = 0.2;
+    const SyntheticPdms synthetic =
+        BuildSyntheticPdms(graph, network_options, &rng);
+    for (const double budget : {0.0, 1e-3}) {
+      for (const size_t parallelism : {1, 2}) {
+        SCOPED_TRACE(StrFormat("%s eps=%g p=%zu", topology.c_str(), budget,
+                               parallelism));
+        EngineOptions options;
+        options.probe_ttl = 2;
+        options.closure_limits.min_cycle_length = 2;
+        options.closure_limits.max_cycle_length = 2;
+        options.closure_limits.max_path_length = 1;
+        options.parallelism = parallelism;
+        RecordingTransport* recorder = nullptr;
+        Pdms pdms =
+            PdmsBuilder::FromSynthetic(synthetic)
+                .WithOptions(options)
+                .WithValueErrorBudget(budget)
+                .WithTransport([&recorder](size_t peers,
+                                           const EngineOptions& engine) {
+                  auto transport = std::make_unique<RecordingTransport>(
+                      std::make_unique<SimTransport>(peers, engine.network));
+                  recorder = transport.get();
+                  return transport;
+                })
+                .Build()
+                .value();
+        ASSERT_GT(pdms.session().Discover(), 0u);
+        for (int warm = 0; warm < 3; ++warm) pdms.session().Step();
+        pdms.transport().ResetStats();
+        recorder->TakeSent();
+        for (int measured = 0; measured < 3; ++measured) pdms.session().Step();
+
+        size_t groups = 0;
+        size_t fingerprints = 0;
+        uint64_t encoded_bytes = 0;
+        std::vector<uint8_t> bytes;
+        for (const Payload& payload : recorder->TakeSent()) {
+          bytes.clear();
+          EncodePayload(payload, &bytes);
+          encoded_bytes += bytes.size();
+          if (const auto* bundle = std::get_if<BeliefMessage>(&payload)) {
+            for (const BeliefGroup& group : bundle->groups) {
+              ++groups;
+              if (!group.id.IsNil()) ++fingerprints;
+            }
+          }
+        }
+        EXPECT_GT(groups, 0u);
+        EXPECT_EQ(fingerprints, 0u);
+        EXPECT_EQ(encoded_bytes, pdms.transport().stats().bytes_sent);
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include "core/peer.h"
 #include "graph/topology.h"
 #include "mapping/mapping_generator.h"
+#include "net/codec.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -223,8 +224,8 @@ TEST_F(PeerTest, AliasNegotiationReachesBareAliasesAfterAck) {
   ASSERT_EQ(steady.groups.size(), 1u);
   EXPECT_TRUE(steady.groups[0].id.IsNil());
   EXPECT_EQ(steady.groups[0].alias, first.groups[0].alias);
-  EXPECT_LT(ApproximateWireSize(Payload{steady}),
-            ApproximateWireSize(Payload{first}));
+  EXPECT_LT(PayloadWireBreakdown(Payload{steady}).bytes,
+            PayloadWireBreakdown(Payload{first}).bytes);
 
   // The bare-alias bundle still routes to the right factor slot.
   ASSERT_TRUE(peers_[1]->AbsorbBeliefBundle(0, steady).ok());

@@ -12,13 +12,13 @@ across schema versions while quantized rows only ever compare against
 quantized rows. Rows present in only one file are ignored (the CI smoke
 run covers a subset of the checked-in sweep). For each matched pair the relative *regression* of `--metric` over
 the baseline is computed — an increase for lower-is-better metrics
-(bytes_per_round, key_bytes_per_round, ...), a decrease for
+(bytes_per_round, value_bytes_per_round, ...), a decrease for
 higher-is-better ones (rounds_per_sec, speedup_vs_serial) — and any
 regression above `--tolerance` fails the run with a per-config report.
 
-A zero baseline (e.g. key_bytes_per_round once alias negotiation settles)
-is a hard floor: any nonzero current value counts as an unbounded
-regression rather than being silently skipped.
+A zero baseline (a byte column the encoding has driven to nothing) is a
+hard floor: any nonzero current value counts as an unbounded regression
+rather than being silently skipped.
 
 The Byzantine-resilience floors are additionally re-checked on the
 CURRENT file regardless of the baseline: every `adversary_runs` row
