@@ -341,6 +341,10 @@ class Peer {
     std::vector<std::pair<uint32_t, uint32_t>> slots;
   };
 
+  /// Sentinel in `replica_of_alias`: binding known but factor not (yet)
+  /// ingested here, or alias not yet resolved.
+  static constexpr uint32_t kNoReplica = static_cast<uint32_t>(-1);
+
   /// One neighbor's alias state in canonical (serializable) form: both
   /// session directions flattened to dense alias-indexed vectors. The
   /// transmit map `AliasSessionTx::alias_of` is stored inverted
@@ -530,10 +534,6 @@ class Peer {
   /// Per-recipient outgoing-belief routes, ascending by recipient; built
   /// incrementally at ingest, rebuilt on mapping removal.
   std::vector<BeliefRoute> belief_routes_;
-
-  /// Sentinel in `PeerLink::replica_of_alias`: binding known but factor
-  /// not (yet) ingested here, or alias not yet resolved.
-  static constexpr uint32_t kNoReplica = static_cast<uint32_t>(-1);
 
   /// One neighbor's alias state: the wire session (both directions) plus
   /// a receive-side alias -> replica-index cache, so steady-state

@@ -210,23 +210,6 @@ uint64_t ApplyByzantineFaults(const ByzantinePlan& plan, PeerId sender,
   return forged;
 }
 
-void ByzantinePeerDecorator::DecorateBundle(PeerId sender, PeerId recipient,
-                                            uint64_t round,
-                                            std::span<const FactorId> group_ids,
-                                            BeliefMessage* bundle) const {
-  const uint64_t forged = ApplyByzantineFaults(plan_, sender, recipient, round,
-                                               group_ids, bundle);
-  if (forged > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    forged_entries_ += forged;
-  }
-}
-
-uint64_t ByzantinePeerDecorator::forged_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return forged_entries_;
-}
-
 // --- FaultInjectingTransport ----------------------------------------------------
 
 FaultInjectingTransport::FaultInjectingTransport(

@@ -142,30 +142,6 @@ uint64_t ApplyByzantineFaults(const ByzantinePlan& plan, PeerId sender,
                               std::span<const FactorId> group_ids,
                               BeliefMessage* bundle);
 
-/// Plan + injection ledger in one object, for benches and tests that
-/// drive `ApplyByzantineFaults` outside a peer. Thread-safe.
-class ByzantinePeerDecorator {
- public:
-  explicit ByzantinePeerDecorator(ByzantinePlan plan) : plan_(std::move(plan)) {}
-
-  const ByzantinePlan& plan() const { return plan_; }
-  bool enabled() const { return plan_.Enabled(); }
-
-  /// Applies the plan to one outgoing bundle of `sender` -> `recipient`
-  /// at logical time `round` (any per-round monotone clock shared across
-  /// parallelism levels; peers use their local round counter).
-  void DecorateBundle(PeerId sender, PeerId recipient, uint64_t round,
-                      std::span<const FactorId> group_ids,
-                      BeliefMessage* bundle) const;
-
-  uint64_t forged_entries() const;
-
- private:
-  ByzantinePlan plan_;
-  mutable std::mutex mutex_;
-  mutable uint64_t forged_entries_ = 0;
-};
-
 /// Ledger of injected faults by type. The envelope decorator's drops also
 /// reach its `TransportStats` (`sent` and `dropped`); duplicates, reorders
 /// and delays appear only here.

@@ -4,12 +4,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include "core/guard.h"
+#include "net/byte_io.h"
 #include "net/codec.h"
 #include "util/string_util.h"
 
@@ -19,504 +21,332 @@ namespace {
 /// "PDMSSNP1", little-endian, as the first eight bytes of every file.
 constexpr uint64_t kSnapshotMagic = 0x31504e53534d4450ull;
 
-/// ⊥ / nullopt sentinel for optional 32-bit ids on disk.
-constexpr uint32_t kNullId32 = 0xffffffffu;
-
-// --- Serialization primitives -------------------------------------------------
+// --- Layout ------------------------------------------------------------------
 //
-// The wire codec keeps its byte helpers in an anonymous namespace on
-// purpose (they are wire-format internals); the snapshot format is a
-// separate, independently-versioned layout, so it carries its own. Only
-// the public codec pieces are shared: `Crc32` for payload integrity and
-// `EncodePayload`/`DecodePayload` for the message payloads captured in
-// transport inboxes and probe caches.
+// Each record's layout is one field list (`Fields`), run by a
+// `wire::FieldWriter` to encode and a `wire::ByteReader` to decode (see
+// net/byte_io.h). The byte primitives are the wire codec's: one varint,
+// one fixed-width encoding and one strict reader for both formats. The
+// layouts stay separate, because the snapshot format is versioned on its
+// own (`kSnapshotFormatVersion`, not `kWireFormatVersion`): a record can
+// change on disk without moving the wire, and the reverse. Message
+// payloads captured in inboxes and probe caches are stored in their wire
+// encoding (`EncodePayload` / `DecodePayload`).
 
-struct Writer {
-  std::vector<uint8_t> out;
+using wire::ByteReader;
+using wire::FieldWriter;
+using wire::RecordOf;
 
-  void U8(uint8_t v) { out.push_back(v); }
-  void Bool(bool v) { out.push_back(v ? 1 : 0); }
-  void Fixed32(uint32_t v) {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-  }
-  void Fixed64(uint64_t v) {
-    Fixed32(static_cast<uint32_t>(v));
-    Fixed32(static_cast<uint32_t>(v >> 32));
-  }
-  void Double(double v) { Fixed64(std::bit_cast<uint64_t>(v)); }
-  void Varint(uint64_t v) {
-    while (v >= 0x80) {
-      out.push_back(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
-  }
-  void String(const std::string& s) {
-    Varint(s.size());
-    out.insert(out.end(), s.begin(), s.end());
-  }
-  void Bytes(const std::vector<uint8_t>& b) {
-    out.insert(out.end(), b.begin(), b.end());
-  }
+/// The fixed-width fields in front of the checksummed payload that are not
+/// part of `NodeSnapshot`.
+struct FileHeader {
+  uint64_t magic = kSnapshotMagic;
+  uint32_t version = kSnapshotFormatVersion;
+  uint64_t payload_size = 0;
+  uint32_t payload_crc = 0;
 };
 
-/// Bounds-checked sequential reader. Any out-of-range read trips the
-/// sticky `failed` flag and yields zeros; callers check once per
-/// milestone instead of threading a Status through every field.
-class Reader {
- public:
-  explicit Reader(std::span<const uint8_t> data) : data_(data) {}
-
-  bool failed() const { return failed_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  bool Done() const { return !failed_ && pos_ == data_.size(); }
-
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return data_[pos_++];
-  }
-  bool Bool() { return U8() != 0; }
-  uint32_t Fixed32() {
-    if (!Need(4)) return 0;
-    uint32_t v = static_cast<uint32_t>(data_[pos_]) |
-                 static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-                 static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-                 static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return v;
-  }
-  uint64_t Fixed64() {
-    const uint64_t lo = Fixed32();
-    const uint64_t hi = Fixed32();
-    return lo | hi << 32;
-  }
-  double Double() { return std::bit_cast<double>(Fixed64()); }
-  uint64_t Varint() {
-    uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (!Need(1)) return 0;
-      const uint8_t byte = data_[pos_++];
-      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
-    }
-    failed_ = true;
-    return 0;
-  }
-  /// Collection count: bounded by the bytes actually left, so a corrupt
-  /// length cannot trigger a huge allocation before the parse fails.
-  size_t Count(size_t min_element_bytes) {
-    const uint64_t n = Varint();
-    const size_t bound =
-        min_element_bytes > 0 ? remaining() / min_element_bytes : remaining();
-    if (n > bound) {
-      failed_ = true;
-      return 0;
-    }
-    return static_cast<size_t>(n);
-  }
-  std::string String() {
-    const size_t n = Count(1);
-    if (!Need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  std::span<const uint8_t> Bytes(size_t n) {
-    if (!Need(n)) return {};
-    std::span<const uint8_t> b = data_.subspan(pos_, n);
-    pos_ += n;
-    return b;
-  }
-
- private:
-  bool Need(size_t n) {
-    if (failed_ || remaining() < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-// --- Field-group helpers ------------------------------------------------------
-
-void PutFactorId(Writer& w, const FactorId& id) {
-  w.Fixed64(id.hi);
-  w.Fixed64(id.lo);
+template <typename IO>
+void HeaderFields(IO& io, auto& header, auto& snapshot) {
+  io.Fixed64(header.magic);
+  io.Fixed32(header.version);
+  io.Fixed64(snapshot.state_epoch);
+  io.Fixed64(snapshot.round);
+  io.Fixed64(snapshot.tick);
+  io.Fixed64(snapshot.quiet);
+  io.Double(snapshot.previous_change);
+  io.Fixed64(snapshot.report_updates);
+  io.Fixed64(header.payload_size);
+  io.Fixed32(header.payload_crc);
 }
 
-FactorId GetFactorId(Reader& r) {
-  FactorId id;
-  id.hi = r.Fixed64();
-  id.lo = r.Fixed64();
-  return id;
+template <typename IO>
+void Fields(IO& io, RecordOf<FactorId> auto& id) {
+  io.Fixed64(id.hi);
+  io.Fixed64(id.lo);
 }
 
-void PutClosure(Writer& w, const Closure& closure) {
-  w.U8(static_cast<uint8_t>(closure.kind));
-  w.Varint(closure.edges.size());
-  for (EdgeId e : closure.edges) w.Fixed32(e);
-  w.Varint(closure.split);
-  w.Fixed32(closure.source);
-  w.Fixed32(closure.sink);
+template <typename IO>
+void Fields(IO& io, RecordOf<MappingVarKey> auto& key) {
+  io.Fixed32(key.edge);
+  io.Fixed32(key.attribute);
 }
 
-bool GetClosure(Reader& r, Closure* closure) {
-  const uint8_t kind = r.U8();
-  if (kind > static_cast<uint8_t>(Closure::Kind::kParallelPaths)) return false;
-  closure->kind = static_cast<Closure::Kind>(kind);
-  closure->edges.resize(r.Count(4));
-  for (EdgeId& e : closure->edges) e = r.Fixed32();
-  closure->split = static_cast<size_t>(r.Varint());
-  closure->source = r.Fixed32();
-  closure->sink = r.Fixed32();
-  return !r.failed() && closure->split <= closure->edges.size();
+template <typename IO>
+void Fields(IO& io, RecordOf<Belief> auto& belief) {
+  io.Double(belief.correct);
+  io.Double(belief.incorrect);
 }
 
-void PutPayload(Writer& w, const Payload& payload) {
-  std::vector<uint8_t> bytes;
-  EncodePayload(payload, &bytes);
-  w.U8(static_cast<uint8_t>(KindOf(payload)));
-  w.Varint(bytes.size());
-  w.Bytes(bytes);
+template <typename IO>
+void Fields(IO& io, RecordOf<std::pair<uint32_t, uint32_t>> auto& pair) {
+  io.Fixed32(pair.first);
+  io.Fixed32(pair.second);
 }
 
-Result<Payload> GetPayload(Reader& r) {
-  const uint8_t kind = r.U8();
-  const size_t size = r.Count(1);
-  std::span<const uint8_t> bytes = r.Bytes(size);
-  if (r.failed()) return Status::DataLoss("snapshot payload truncated");
-  if (kind >= kMessageKindCount) {
-    return Status::DataLoss(
-        StrFormat("snapshot payload has unknown message kind %u", kind));
-  }
-  return DecodePayload(static_cast<MessageKind>(kind), bytes);
+template <typename IO>
+void Fields(IO& io, RecordOf<uint32_t> auto& value) {
+  io.Fixed32(value);
 }
 
-void PutPeerImage(Writer& w, const Peer::Image& image) {
-  w.Varint(image.mappings.size());
-  for (const auto& [edge, mapping] : image.mappings) {
-    w.Fixed32(edge);
-    w.String(mapping.name());
-    w.Varint(mapping.source_size());
+/// A mapping table: name, source size, then each attribute's image.
+template <typename IO>
+void Fields(IO& io, RecordOf<std::pair<EdgeId, SchemaMapping>> auto& entry) {
+  auto& [edge, mapping] = entry;
+  io.Fixed32(edge);
+  if constexpr (IO::kDecoding) {
+    std::string name;
+    io.String(name);
+    mapping = SchemaMapping(std::move(name), io.Count(4));
     for (AttributeId a = 0; a < mapping.source_size(); ++a) {
-      const std::optional<AttributeId> target = mapping.Apply(a);
-      w.Fixed32(target.has_value() ? *target : kNullId32);
+      std::optional<AttributeId> target;
+      io.Nullable32(target);
+      io.Fail(mapping.Set(a, target));
     }
-  }
-
-  w.Varint(image.replicas.size());
-  for (const Peer::Replica& replica : image.replicas) {
-    PutFactorId(w, replica.id);
-    PutClosure(w, replica.closure);
-    w.Fixed32(replica.root_attribute);
-    w.U8(static_cast<uint8_t>(replica.sign));
-    w.Double(replica.delta);
-    w.Varint(replica.other_owners.size());
-    for (PeerId p : replica.other_owners) w.Fixed32(p);
-  }
-
-  w.Varint(image.replica_hot.size());
-  for (const Peer::ReplicaHot& hot : image.replica_hot) {
-    w.Fixed32(hot.msg_base);
-    w.Fixed32(hot.member_count);
-    w.Fixed32(hot.owned_base);
-    w.Fixed32(hot.owned_count);
-    w.Double(hot.delta);
-    w.Bool(hot.positive);
-  }
-
-  w.Varint(image.var_to_factor_pool.size());
-  for (const Belief& b : image.var_to_factor_pool) {
-    w.Double(b.correct);
-    w.Double(b.incorrect);
-  }
-  w.Varint(image.factor_to_var_pool.size());
-  for (const Belief& b : image.factor_to_var_pool) {
-    w.Double(b.correct);
-    w.Double(b.incorrect);
-  }
-
-  w.Varint(image.member_pool.size());
-  for (const MappingVarKey& key : image.member_pool) {
-    w.Fixed32(key.edge);
-    w.Fixed32(key.attribute);
-  }
-  w.Varint(image.member_owner_pool.size());
-  for (PeerId p : image.member_owner_pool) w.Fixed32(p);
-  w.Varint(image.owned_pos_pool.size());
-  for (uint32_t pos : image.owned_pos_pool) w.Fixed32(pos);
-
-  w.Varint(image.belief_routes.size());
-  for (const Peer::BeliefRoute& route : image.belief_routes) {
-    w.Fixed32(route.to);
-    w.Fixed32(route.link);
-    w.Fixed32(route.entry_total);
-    w.Varint(route.groups.size());
-    for (const auto& [replica, alias] : route.groups) {
-      w.Fixed32(replica);
-      w.Fixed32(alias);
+  } else {
+    io.String(mapping.name());
+    io.Varint(mapping.source_size());
+    for (AttributeId a = 0; a < mapping.source_size(); ++a) {
+      io.Nullable32(mapping.Apply(a));
     }
-  }
-
-  w.Varint(image.links.size());
-  for (const Peer::LinkImage& link : image.links) {
-    w.Fixed32(link.peer);
-    w.Varint(link.tx_id_by_alias.size());
-    for (const FactorId& id : link.tx_id_by_alias) PutFactorId(w, id);
-    w.Fixed32(link.tx_acked_prefix);
-    w.Varint(link.rx_id_of.size());
-    for (const FactorId& id : link.rx_id_of) PutFactorId(w, id);
-    w.Fixed32(link.rx_known_prefix);
-    w.Varint(link.replica_of_alias.size());
-    for (uint32_t replica : link.replica_of_alias) w.Fixed32(replica);
-    w.U8(static_cast<uint8_t>(link.value_rank));
-    const GuardLinkState& guard = link.guard;
-    w.Double(guard.score);
-    w.U8(guard.demote_level);
-    w.Fixed64(guard.rejections);
-    w.Fixed64(guard.equivocations);
-    w.Fixed64(guard.oscillations);
-    w.Fixed64(guard.outliers);
-    w.Fixed64(guard.dropped_bundles);
-    w.Double(guard.round_influence);
-    w.Fixed32(guard.round_absorbed);
-  }
-  w.Fixed32(image.alias_epoch);
-  w.Varint(image.guard_slot_pool.size());
-  for (const GuardSlot& slot : image.guard_slot_pool) {
-    w.Double(slot.last_log_odds);
-    w.Fixed64(slot.last_round);
-    w.U8(slot.flips);
-    w.U8(static_cast<uint8_t>(slot.last_dir));
-    w.Bool(slot.has_last);
-  }
-  w.Fixed64(image.round);
-
-  w.Varint(image.vars.size());
-  for (const Peer::VarState& var : image.vars) {
-    w.Fixed32(var.key.edge);
-    w.Fixed32(var.key.attribute);
-    w.Double(var.prior);
-    w.Bool(var.has_explicit_prior);
-    w.Fixed64(var.evidence_count);
-    w.Double(var.evidence_sum);
-    w.Bool(var.has_evidence_acc);
-    w.Double(var.last_posterior);
-    w.Bool(var.has_last_posterior);
-    w.Varint(var.slots.size());
-    for (const auto& [replica, position] : var.slots) {
-      w.Fixed32(replica);
-      w.Fixed32(position);
-    }
-  }
-
-  w.Varint(image.announced.size());
-  for (const FactorId& id : image.announced) PutFactorId(w, id);
-
-  w.Varint(image.probe_cache.size());
-  for (const auto& [origin, probes] : image.probe_cache) {
-    w.Fixed32(origin);
-    w.Varint(probes.size());
-    for (const ProbeMessage& probe : probes) PutPayload(w, Payload(probe));
   }
 }
 
-Status GetPeerImage(Reader& r, uint32_t format_version, Peer::Image* image) {
+template <typename IO>
+void Fields(IO& io, RecordOf<Closure> auto& closure) {
+  io.Ranged(closure.kind, Closure::Kind::kParallelPaths, "closure kind");
+  io.List(closure.edges, 4, [&](auto& edge) { io.Fixed32(edge); });
+  io.Varint(closure.split);
+  io.Fixed32(closure.source);
+  io.Fixed32(closure.sink);
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::Replica> auto& replica) {
+  Fields(io, replica.id);
+  Fields(io, replica.closure);
+  io.Fixed32(replica.root_attribute);
+  io.Ranged(replica.sign, FeedbackSign::kNeutral, "replica sign");
+  io.Double(replica.delta);
+  io.List(replica.other_owners, 4, [&](auto& p) { Fields(io, p); });
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::ReplicaHot> auto& hot) {
+  io.Fixed32(hot.msg_base);
+  io.Fixed32(hot.member_count);
+  io.Fixed32(hot.owned_base);
+  io.Fixed32(hot.owned_count);
+  io.Double(hot.delta);
+  io.Bool(hot.positive);
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::BeliefRoute> auto& route) {
+  io.Fixed32(route.to);
+  io.Fixed32(route.link);
+  io.Fixed32(route.entry_total);
+  io.List(route.groups, 8, [&](auto& group) { Fields(io, group); });
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::LinkImage> auto& link) {
+  const auto each = [&](auto& record) { Fields(io, record); };
+  io.Fixed32(link.peer);
+  io.List(link.tx_id_by_alias, 16, each);
+  io.Fixed32(link.tx_acked_prefix);
+  io.List(link.rx_id_of, 16, each);
+  io.Fixed32(link.rx_known_prefix);
+  io.List(link.replica_of_alias, 4, each);
+  io.Ranged(link.value_rank, kValueRankCount - 1, "link value rank");
+  auto& guard = link.guard;
+  io.Double(guard.score);
+  io.Ranged(guard.demote_level, 2, "link demote level");
+  io.Fixed64(guard.rejections);
+  io.Fixed64(guard.equivocations);
+  io.Fixed64(guard.oscillations);
+  io.Fixed64(guard.outliers);
+  io.Fixed64(guard.dropped_bundles);
+  io.Double(guard.round_influence);
+  io.Fixed32(guard.round_absorbed);
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<GuardSlot> auto& slot) {
+  io.Double(slot.last_log_odds);
+  io.Fixed64(slot.last_round);
+  io.U8(slot.flips);
+  io.U8(slot.last_dir);
+  io.Bool(slot.has_last);
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::VarState> auto& var) {
+  Fields(io, var.key);
+  io.Double(var.prior);
+  io.Bool(var.has_explicit_prior);
+  io.Fixed64(var.evidence_count);
+  io.Double(var.evidence_sum);
+  io.Bool(var.has_evidence_acc);
+  io.Double(var.last_posterior);
+  io.Bool(var.has_last_posterior);
+  io.List(var.slots, 8, [&](auto& slot) { Fields(io, slot); });
+}
+
+/// A captured message: kind byte, byte length, then its wire encoding.
+template <typename IO>
+void Fields(IO& io, RecordOf<Payload> auto& payload) {
+  if constexpr (IO::kDecoding) {
+    MessageKind kind = MessageKind::kProbe;
+    io.Ranged(kind, MessageKind::kQuery, "payload message kind");
+    const std::span<const uint8_t> bytes = io.Bytes(io.Count(1));
+    if (!io.ok()) return;
+    Result<Payload> decoded = DecodePayload(kind, bytes);
+    if (!decoded.ok()) return io.Fail(decoded.status());
+    payload = std::move(decoded).value();
+  } else {
+    std::vector<uint8_t> bytes;
+    EncodePayload(payload, &bytes);
+    io.U8(KindOf(payload));
+    io.Varint(bytes.size());
+    io.Bytes(bytes);
+  }
+}
+
+using ProbeCacheEntry = std::pair<PeerId, std::vector<ProbeMessage>>;
+
+/// One origin's cached probes, each stored as a captured payload.
+template <typename IO>
+void Fields(IO& io, RecordOf<ProbeCacheEntry> auto& entry) {
+  io.Fixed32(entry.first);
+  io.List(entry.second, 2, [&](auto& probe) {
+    if constexpr (IO::kDecoding) {
+      Payload payload;
+      Fields(io, payload);
+      ProbeMessage* decoded = std::get_if<ProbeMessage>(&payload);
+      if (decoded == nullptr) return io.Malformed("probe cache payload kind");
+      probe = std::move(*decoded);
+    } else {
+      const Payload payload(probe);
+      Fields(io, payload);
+    }
+  });
+}
+
+template <typename IO>
+void Fields(IO& io, RecordOf<CapturedFrame> auto& frame) {
+  io.Fixed64(frame.seq);
+  io.Fixed32(frame.envelope.from);
+  io.Fixed32(frame.envelope.to);
+  io.Nullable32(frame.envelope.via);
+  io.Fixed64(frame.envelope.deliver_at);
+  Fields(io, frame.envelope.payload);
+}
+
+/// The offsets `RestoreImage` copies and the next `ComputeRound` indexes
+/// the image's arrays with. The CRC only proves the bytes are the ones
+/// written, so an image whose offsets leave their arrays is refused here
+/// rather than read out of bounds later.
+Status CheckImageBounds(const Peer::Image& image) {
   const auto corrupt = [](const char* what) {
-    return Status::DataLoss(
-        StrFormat("snapshot peer image corrupt: %s", what));
+    return Status::DataLoss(StrFormat("peer image %s", what));
   };
-
-  image->mappings.clear();
-  const size_t mapping_count = r.Count(4);
-  image->mappings.reserve(mapping_count);
-  for (size_t i = 0; i < mapping_count; ++i) {
-    const EdgeId edge = r.Fixed32();
-    std::string name = r.String();
-    const size_t source_size = r.Count(4);
-    SchemaMapping mapping(std::move(name), source_size);
-    for (AttributeId a = 0; a < source_size; ++a) {
-      const uint32_t target = r.Fixed32();
-      if (target == kNullId32) continue;
-      const Status set = mapping.Set(a, target);
-      if (!set.ok()) return set;
-    }
-    if (r.failed()) return corrupt("mapping table");
-    image->mappings.emplace_back(edge, std::move(mapping));
-  }
-
-  image->replicas.clear();
-  const size_t replica_count = r.Count(16);
-  image->replicas.reserve(replica_count);
-  for (size_t i = 0; i < replica_count; ++i) {
-    Peer::Replica& replica = image->replicas.emplace_back();
-    replica.id = GetFactorId(r);
-    if (!GetClosure(r, &replica.closure)) return corrupt("replica closure");
-    replica.root_attribute = r.Fixed32();
-    const uint8_t sign = r.U8();
-    if (sign > static_cast<uint8_t>(FeedbackSign::kNeutral)) {
-      return corrupt("replica sign");
-    }
-    replica.sign = static_cast<FeedbackSign>(sign);
-    replica.delta = r.Double();
-    replica.other_owners.resize(r.Count(4));
-    for (PeerId& p : replica.other_owners) p = r.Fixed32();
-  }
-  if (r.failed()) return corrupt("replica table");
-
-  image->replica_hot.resize(r.Count(16));
-  for (Peer::ReplicaHot& hot : image->replica_hot) {
-    hot.msg_base = r.Fixed32();
-    hot.member_count = r.Fixed32();
-    hot.owned_base = r.Fixed32();
-    hot.owned_count = r.Fixed32();
-    hot.delta = r.Double();
-    hot.positive = r.Bool();
-  }
-
-  image->var_to_factor_pool.resize(r.Count(16));
-  for (Belief& b : image->var_to_factor_pool) {
-    b.correct = r.Double();
-    b.incorrect = r.Double();
-  }
-  image->factor_to_var_pool.resize(r.Count(16));
-  for (Belief& b : image->factor_to_var_pool) {
-    b.correct = r.Double();
-    b.incorrect = r.Double();
-  }
-
-  image->member_pool.resize(r.Count(8));
-  for (MappingVarKey& key : image->member_pool) {
-    key.edge = r.Fixed32();
-    key.attribute = r.Fixed32();
-  }
-  image->member_owner_pool.resize(r.Count(4));
-  for (PeerId& p : image->member_owner_pool) p = r.Fixed32();
-  image->owned_pos_pool.resize(r.Count(4));
-  for (uint32_t& pos : image->owned_pos_pool) pos = r.Fixed32();
-  if (r.failed()) return corrupt("message pools");
-
-  image->belief_routes.resize(r.Count(12));
-  for (Peer::BeliefRoute& route : image->belief_routes) {
-    route.to = r.Fixed32();
-    route.link = r.Fixed32();
-    route.entry_total = r.Fixed32();
-    route.groups.resize(r.Count(8));
-    for (auto& [replica, alias] : route.groups) {
-      replica = r.Fixed32();
-      alias = r.Fixed32();
+  const size_t replicas = image.replicas.size();
+  for (const Peer::Replica& replica : image.replicas) {
+    if (replica.closure.split > replica.closure.edges.size()) {
+      return corrupt("closure split beyond its edges");
     }
   }
-
-  image->links.resize(r.Count(12));
-  for (Peer::LinkImage& link : image->links) {
-    link.peer = r.Fixed32();
-    link.tx_id_by_alias.resize(r.Count(16));
-    for (FactorId& id : link.tx_id_by_alias) id = GetFactorId(r);
-    link.tx_acked_prefix = r.Fixed32();
-    link.rx_id_of.resize(r.Count(16));
-    for (FactorId& id : link.rx_id_of) id = GetFactorId(r);
-    link.rx_known_prefix = r.Fixed32();
-    link.replica_of_alias.resize(r.Count(4));
-    for (uint32_t& replica : link.replica_of_alias) replica = r.Fixed32();
-    link.value_rank = r.U8();
-    if (link.value_rank >= kValueRankCount) return corrupt("link value rank");
-    GuardLinkState& guard = link.guard;
-    guard.score = r.Double();
-    guard.demote_level = r.U8();
-    if (guard.demote_level > 2) return corrupt("link demote level");
-    guard.rejections = r.Fixed64();
-    guard.equivocations = r.Fixed64();
-    guard.oscillations = r.Fixed64();
-    guard.outliers = r.Fixed64();
-    guard.dropped_bundles = r.Fixed64();
-    guard.round_influence = r.Double();
-    guard.round_absorbed = r.Fixed32();
+  if (image.replica_hot.size() != replicas) {
+    return corrupt("replica_hot size differs from replicas");
   }
-  image->alias_epoch = r.Fixed32();
-  image->guard_slot_pool.resize(r.Count(19));
-  for (GuardSlot& slot : image->guard_slot_pool) {
-    slot.last_log_odds = r.Double();
-    slot.last_round = r.Fixed64();
-    slot.flips = r.U8();
-    slot.last_dir = static_cast<int8_t>(r.U8());
-    slot.has_last = r.Bool();
-  }
-  image->round = r.Fixed64();
-  if (r.failed()) return corrupt("alias links");
-
-  image->vars.resize(r.Count(8));
-  for (Peer::VarState& var : image->vars) {
-    var.key.edge = r.Fixed32();
-    var.key.attribute = r.Fixed32();
-    var.prior = r.Double();
-    var.has_explicit_prior = r.Bool();
-    var.evidence_count = r.Fixed64();
-    var.evidence_sum = r.Double();
-    var.has_evidence_acc = r.Bool();
-    var.last_posterior = r.Double();
-    var.has_last_posterior = r.Bool();
-    var.slots.resize(r.Count(8));
-    for (auto& [replica, position] : var.slots) {
-      replica = r.Fixed32();
-      position = r.Fixed32();
+  const uint64_t slot_count = std::min(
+      {image.var_to_factor_pool.size(), image.factor_to_var_pool.size(),
+       image.member_pool.size(), image.member_owner_pool.size()});
+  for (const Peer::ReplicaHot& hot : image.replica_hot) {
+    if (uint64_t{hot.msg_base} + hot.member_count > slot_count) {
+      return corrupt("message slots beyond the slot pools");
+    }
+    if (uint64_t{hot.owned_base} + hot.owned_count >
+        image.owned_pos_pool.size()) {
+      return corrupt("owned positions beyond owned_pos_pool");
+    }
+    for (uint32_t i = 0; i < hot.owned_count; ++i) {
+      if (image.owned_pos_pool[hot.owned_base + i] >= hot.member_count) {
+        return corrupt("owned position beyond member_count");
+      }
     }
   }
-
-  image->announced.resize(r.Count(16));
-  for (FactorId& id : image->announced) id = GetFactorId(r);
-  if (format_version < 4) {
-    // v3's seen query ids: finished queries, which never arrive again.
-    const size_t seen_queries = r.Count(8);
-    for (size_t i = 0; i < seen_queries; ++i) r.Fixed64();
-  }
-
-  image->probe_cache.clear();
-  const size_t origin_count = r.Count(4);
-  image->probe_cache.reserve(origin_count);
-  for (size_t i = 0; i < origin_count; ++i) {
-    auto& [origin, probes] = image->probe_cache.emplace_back();
-    origin = r.Fixed32();
-    const size_t probe_count = r.Count(2);
-    probes.reserve(probe_count);
-    for (size_t j = 0; j < probe_count; ++j) {
-      PDMS_ASSIGN_OR_RETURN(Payload payload, GetPayload(r));
-      ProbeMessage* probe = std::get_if<ProbeMessage>(&payload);
-      if (probe == nullptr) return corrupt("probe cache payload kind");
-      probes.push_back(std::move(*probe));
+  for (const Peer::BeliefRoute& route : image.belief_routes) {
+    if (route.link >= image.links.size()) {
+      return corrupt("belief route link beyond links");
+    }
+    for (const auto& [replica, alias] : route.groups) {
+      if (replica >= replicas) {
+        return corrupt("belief route group beyond replicas");
+      }
     }
   }
-  if (r.failed()) return corrupt("var / probe tables");
+  for (const Peer::VarState& var : image.vars) {
+    for (const auto& [replica, position] : var.slots) {
+      if (replica >= replicas ||
+          position >= image.replica_hot[replica].member_count) {
+        return corrupt("variable slot beyond its replica");
+      }
+    }
+  }
+  for (const Peer::LinkImage& link : image.links) {
+    for (uint32_t replica : link.replica_of_alias) {
+      if (replica >= replicas && replica != Peer::kNoReplica) {
+        return corrupt("alias bound beyond replicas");
+      }
+    }
+  }
   return Status::Ok();
 }
 
-void PutCapturedFrame(Writer& w, const CapturedFrame& frame) {
-  w.Fixed64(frame.seq);
-  w.Fixed32(frame.envelope.from);
-  w.Fixed32(frame.envelope.to);
-  w.Fixed32(frame.envelope.via.has_value() ? *frame.envelope.via : kNullId32);
-  w.Fixed64(frame.envelope.deliver_at);
-  PutPayload(w, frame.envelope.payload);
+template <typename IO>
+void Fields(IO& io, RecordOf<Peer::Image> auto& image, uint32_t version) {
+  const auto each = [&](auto& record) { Fields(io, record); };
+  io.List(image.mappings, 4, each);
+  io.List(image.replicas, 16, each);
+  io.List(image.replica_hot, 16, each);
+  io.List(image.var_to_factor_pool, 16, each);
+  io.List(image.factor_to_var_pool, 16, each);
+  io.List(image.member_pool, 8, each);
+  io.List(image.member_owner_pool, 4, each);
+  io.List(image.owned_pos_pool, 4, each);
+  io.List(image.belief_routes, 12, each);
+  io.List(image.links, 12, each);
+  io.Fixed32(image.alias_epoch);
+  io.List(image.guard_slot_pool, 19, each);
+  io.Fixed64(image.round);
+  io.List(image.vars, 8, each);
+  io.List(image.announced, 16, each);
+  if constexpr (IO::kDecoding) {
+    if (version < 4) {
+      // v3's seen query ids: finished queries, which never arrive again.
+      for (size_t n = io.Count(8); n > 0; --n) {
+        uint64_t query_id = 0;
+        io.Fixed64(query_id);
+      }
+    }
+  }
+  io.List(image.probe_cache, 4, each);
+  if constexpr (IO::kDecoding) {
+    if (io.ok()) io.Fail(CheckImageBounds(image));
+  }
 }
 
-Status GetCapturedFrame(Reader& r, CapturedFrame* frame) {
-  frame->seq = r.Fixed64();
-  frame->envelope.from = r.Fixed32();
-  frame->envelope.to = r.Fixed32();
-  const uint32_t via = r.Fixed32();
-  frame->envelope.via =
-      via == kNullId32 ? std::nullopt : std::optional<EdgeId>(via);
-  frame->envelope.deliver_at = r.Fixed64();
-  PDMS_ASSIGN_OR_RETURN(frame->envelope.payload, GetPayload(r));
-  return Status::Ok();
+/// Everything the header's length and CRC cover.
+template <typename IO>
+void PayloadFields(IO& io, auto& snapshot, uint32_t version) {
+  io.List(snapshot.engine.edge_alive, 1,
+          [&](auto&& alive) { io.Bool(alive); });
+  io.List(snapshot.engine.peers, 1,
+          [&](auto& peer) { Fields(io, peer, version); });
+  io.Fixed64(snapshot.engine.next_query_id);
+  io.List(snapshot.inbox, 29, [&](auto& frame) { Fields(io, frame); });
 }
 
 // --- File IO ------------------------------------------------------------------
@@ -676,88 +506,56 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
 }
 
 std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot) {
-  Writer payload;
-  payload.Varint(snapshot.engine.edge_alive.size());
-  for (const bool alive : snapshot.engine.edge_alive) payload.Bool(alive);
-  payload.Varint(snapshot.engine.peers.size());
-  for (const Peer::Image& peer : snapshot.engine.peers) {
-    PutPeerImage(payload, peer);
-  }
-  payload.Fixed64(snapshot.engine.next_query_id);
-  payload.Varint(snapshot.inbox.size());
-  for (const CapturedFrame& frame : snapshot.inbox) {
-    PutCapturedFrame(payload, frame);
-  }
+  std::vector<uint8_t> payload;
+  FieldWriter payload_writer(&payload);
+  PayloadFields(payload_writer, snapshot, kSnapshotFormatVersion);
+  FileHeader header;
+  header.payload_size = payload.size();
+  header.payload_crc = Crc32(payload);
 
-  Writer file;
-  file.Fixed64(kSnapshotMagic);
-  file.Fixed32(kSnapshotFormatVersion);
-  file.Fixed64(snapshot.state_epoch);
-  file.Fixed64(snapshot.round);
-  file.Fixed64(snapshot.tick);
-  file.Fixed64(snapshot.quiet);
-  file.Double(snapshot.previous_change);
-  file.Fixed64(snapshot.report_updates);
-  file.Fixed64(payload.out.size());
-  file.Fixed32(Crc32(payload.out));
-  file.Bytes(payload.out);
-  return std::move(file.out);
+  std::vector<uint8_t> file;
+  FieldWriter file_writer(&file);
+  HeaderFields(file_writer, std::as_const(header), snapshot);
+  file_writer.Bytes(payload);
+  return file;
 }
 
 Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes) {
-  Reader header(bytes);
+  ByteReader file(bytes, StatusCode::kDataLoss);
+  FileHeader header;
   NodeSnapshot snapshot;
-  const uint64_t magic = header.Fixed64();
-  const uint32_t version = header.Fixed32();
-  snapshot.state_epoch = header.Fixed64();
-  snapshot.round = header.Fixed64();
-  snapshot.tick = header.Fixed64();
-  snapshot.quiet = header.Fixed64();
-  snapshot.previous_change = header.Double();
-  snapshot.report_updates = header.Fixed64();
-  const uint64_t payload_size = header.Fixed64();
-  const uint32_t payload_crc = header.Fixed32();
-  if (header.failed()) {
+  HeaderFields(file, header, snapshot);
+  if (!file.ok()) {
     return Status::DataLoss("snapshot truncated inside the header");
   }
-  if (magic != kSnapshotMagic) {
+  if (header.magic != kSnapshotMagic) {
     return Status::DataLoss("not a PDMS snapshot (bad magic)");
   }
-  if (version < kOldestReadableSnapshotVersion ||
-      version > kSnapshotFormatVersion) {
+  if (header.version < kOldestReadableSnapshotVersion ||
+      header.version > kSnapshotFormatVersion) {
     return Status::FailedPrecondition(StrFormat(
-        "snapshot format version %u, this build reads %u to %u", version,
-        kOldestReadableSnapshotVersion, kSnapshotFormatVersion));
+        "snapshot format version %u, this build reads %u to %u",
+        header.version, kOldestReadableSnapshotVersion,
+        kSnapshotFormatVersion));
   }
-  if (payload_size != header.remaining()) {
+  if (header.payload_size != file.remaining()) {
     return Status::DataLoss(
         StrFormat("snapshot payload torn: header says %llu bytes, file has %zu",
-                  static_cast<unsigned long long>(payload_size),
-                  header.remaining()));
+                  static_cast<unsigned long long>(header.payload_size),
+                  file.remaining()));
   }
-  std::span<const uint8_t> payload_bytes = header.Bytes(payload_size);
-  if (Crc32(payload_bytes) != payload_crc) {
+  const std::span<const uint8_t> payload_bytes = file.Rest();
+  if (Crc32(payload_bytes) != header.payload_crc) {
     return Status::DataLoss("snapshot payload CRC mismatch");
   }
 
-  Reader payload(payload_bytes);
-  snapshot.engine.edge_alive.resize(payload.Count(1));
-  for (size_t e = 0; e < snapshot.engine.edge_alive.size(); ++e) {
-    snapshot.engine.edge_alive[e] = payload.Bool();
-  }
-  const size_t peer_count = payload.Count(1);
-  snapshot.engine.peers.resize(peer_count);
-  for (Peer::Image& peer : snapshot.engine.peers) {
-    PDMS_RETURN_IF_ERROR(GetPeerImage(payload, version, &peer));
-  }
-  snapshot.engine.next_query_id = payload.Fixed64();
-  const size_t inbox_count = payload.Count(29);
-  snapshot.inbox.resize(inbox_count);
-  for (CapturedFrame& frame : snapshot.inbox) {
-    PDMS_RETURN_IF_ERROR(GetCapturedFrame(payload, &frame));
-  }
-  if (!payload.Done()) {
-    return Status::DataLoss("snapshot payload has trailing or missing bytes");
+  ByteReader payload(payload_bytes, StatusCode::kDataLoss);
+  PayloadFields(payload, snapshot, header.version);
+  const Status status = payload.Finish("the snapshot payload");
+  if (!status.ok()) {
+    return Status(status.code(),
+                  StrFormat("snapshot payload corrupt: %s",
+                            status.message().c_str()));
   }
   return snapshot;
 }

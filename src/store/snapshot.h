@@ -87,8 +87,9 @@ struct NodeSnapshot {
 std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot);
 
 /// Parses and fully validates an encoded snapshot. Rejects bad magic,
-/// format versions it cannot read, truncated input, trailing garbage and
-/// payload CRC mismatches with a descriptive `Status`.
+/// format versions it cannot read, truncated input, trailing garbage,
+/// payload CRC mismatches and peer images whose pool offsets or replica
+/// indexes leave their arrays with a descriptive `Status`.
 Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes);
 
 /// Double-buffered on-disk checkpoint store for one shard.

@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "net/fault_injection.h"
 #include "pdms/transport.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace pdms {
 namespace {
@@ -828,7 +830,8 @@ std::vector<uint8_t> EncodedFrame(const Frame& frame) {
   return bytes;
 }
 
-TEST(FrameCodecTest, EveryFrameTypeRoundTripsThroughTheAssembler) {
+/// One frame of every type, in `FrameType` order.
+std::vector<Frame> OneFrameOfEachType() {
   DataFrame data;
   data.from = 4;
   data.to = 2;
@@ -852,10 +855,27 @@ TEST(FrameCodecTest, EveryFrameTypeRoundTripsThroughTheAssembler) {
   response.reached = 3;
   response.rows = {"peer=0 entity=1 values=Defoe", "peer=2 entity=1 values=Defoe"};
 
-  const std::vector<Frame> frames = {
-      Frame{data}, Frame{HelloFrame{0, 2, 24, 0x1122334455667788ull, 41}},
-      Frame{mark}, Frame{QueryRequestFrame{5, 1, 4, "SELECT author"}},
-      Frame{response}, Frame{LinkAckFrame{1, 0x1122334455667788ull, 42}}};
+  return {Frame{data},
+          Frame{HelloFrame{0, 2, 24, 0x1122334455667788ull, 41}},
+          Frame{mark},
+          Frame{QueryRequestFrame{5, 1, 4, "SELECT author"}},
+          Frame{response},
+          Frame{LinkAckFrame{1, 0x1122334455667788ull, 42}},
+          Frame{RejoinFrame{1, 0x0123456789abcdefull, 300, "127.0.0.1:40123"}},
+          Frame{RejoinAckFrame{0, 300, false, "cut no longer held"}}};
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  for (uint8_t byte : bytes) out += StrFormat("%02x", byte);
+  return out;
+}
+
+TEST(FrameCodecTest, EveryFrameTypeRoundTripsThroughTheAssembler) {
+  const std::vector<Frame> frames = OneFrameOfEachType();
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(static_cast<size_t>(FrameTypeOf(frames[i])), i);
+  }
 
   // Feed the whole stream one byte at a time: the assembler must hold
   // partial frames and release each one exactly once, in order.
@@ -882,6 +902,41 @@ TEST(FrameCodecTest, EveryFrameTypeRoundTripsThroughTheAssembler) {
         << "frame " << i << " re-encode differs";
   }
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
+}
+
+TEST(FrameCodecTest, EveryFrameTypeEncodesToItsPinnedBytes) {
+  // Shards of one deployment may run different builds of the same wire
+  // version, so the frame layout is pinned byte for byte: length prefix,
+  // CRC, link sequence (a two-byte varint here), version, type and body.
+  const std::vector<std::string> expected = {
+      // data
+      "3300000053282f58ac0204000402011109d20902000000010101000000000000"
+      "0002000000000000000100666666666666e63f343333333333d33f",
+      // hello
+      "10000000265ae804ad020401000218887766554433221129",
+      // mark
+      "1200000063ebef2aae02040201010c0715000000000000d03f01",
+      // query request
+      "150000006d62e84baf0204030501040d53454c45435420617574686f72",
+      // query response
+      "43000000f0f554fbb002040463010003021c706565723d3020656e746974793d"
+      "312076616c7565733d4465666f651c706565723d3220656e746974793d312076"
+      "616c7565733d4465666f65",
+      // link ack
+      "0e0000006471a5aab10204050188776655443322112a",
+      // rejoin
+      "1f000000078c7760b202040601efcdab8967452301ac020f3132372e302e302e"
+      "313a3430313233",
+      // rejoin ack
+      "1b000000ad59289ab302040700ac020012637574206e6f206c6f6e6765722068"
+      "656c64"};
+  const std::vector<Frame> frames = OneFrameOfEachType();
+  ASSERT_EQ(frames.size(), expected.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    std::vector<uint8_t> bytes;
+    EncodeFrame(frames[i], /*link_seq=*/300 + i, &bytes);
+    EXPECT_EQ(Hex(bytes), expected[i]) << "frame type " << i;
+  }
 }
 
 /// Recomputes a framed buffer's CRC32 after the test mutated the body —

@@ -253,6 +253,30 @@ TEST(SnapshotCodecTest, RestoresPreviousVersionImage) {
   }
 }
 
+TEST(SnapshotCodecTest, CurrentFormatImageIsPinned) {
+  // `MakeSnapshot(MakeIntroPdms())` as the current (v4) encoder writes it.
+  // A shard must restore the snapshots an earlier build of the same
+  // format version wrote, so the layout is pinned byte for byte: the
+  // frozen image decodes and re-encodes to itself, and a fresh capture of
+  // the same deployment encodes to the same bytes. (The second check also
+  // fails when a change moves the intro example's posteriors on purpose;
+  // then re-freeze the image.)
+  std::ifstream in(PDMS_TEST_DATA_DIR "/intro_snapshot_v4.pdms",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<uint8_t> frozen((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+  ASSERT_GT(frozen.size(), 8u);
+  ASSERT_EQ(frozen[8], kSnapshotFormatVersion);
+
+  Result<NodeSnapshot> decoded = DecodeSnapshot(frozen);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(EncodeSnapshot(decoded.value()), frozen);
+
+  Pdms pdms = MakeIntroPdms();
+  EXPECT_EQ(EncodeSnapshot(MakeSnapshot(pdms)), frozen);
+}
+
 // --- SnapshotStore -----------------------------------------------------------
 
 TEST(SnapshotStoreTest, LoadsHighestRoundAcrossSlots) {
@@ -415,6 +439,93 @@ TEST(SnapshotCodecTest, RejectsOutOfRangeLinkValueRank) {
   const Result<NodeSnapshot> decoded =
       DecodeSnapshot(EncodeSnapshot(snapshot));
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(SnapshotCodecTest, RejectsImagesWhoseOffsetsLeaveTheirArrays) {
+  // `EncodeSnapshot` writes a valid CRC over whatever image it is given,
+  // so each tampered image below reaches the reader's consistency checks.
+  // `RestoreImage` would copy every one of these offsets, and the next
+  // round would index the peer's arrays with them.
+  Pdms pdms = MakeIntroPdms();
+  const NodeSnapshot snapshot = MakeSnapshot(pdms);
+  // A peer with routes, variable slots and resolved aliases to tamper.
+  size_t p = 0;
+  const auto usable = [](const Peer::Image& image) {
+    if (image.replicas.empty() || image.belief_routes.empty() ||
+        image.belief_routes[0].groups.empty() || image.links.empty() ||
+        image.links[0].replica_of_alias.empty()) {
+      return false;
+    }
+    for (const Peer::ReplicaHot& hot : image.replica_hot) {
+      if (hot.owned_count == 0) return false;
+    }
+    return !image.vars.empty() && !image.vars[0].slots.empty();
+  };
+  while (p < snapshot.engine.peers.size() &&
+         !usable(snapshot.engine.peers[p])) {
+    ++p;
+  }
+  ASSERT_LT(p, snapshot.engine.peers.size());
+  {
+    // Unresolved aliases are legal.
+    NodeSnapshot unresolved = snapshot;
+    unresolved.engine.peers[p].links[0].replica_of_alias[0] = 0xffffffffu;
+    EXPECT_TRUE(DecodeSnapshot(EncodeSnapshot(unresolved)).ok());
+  }
+
+  using Tamper = void (*)(Peer::Image&);
+  const std::vector<std::pair<const char*, Tamper>> tampers = {
+      {"replica_hot shorter than replicas",
+       [](Peer::Image& image) { image.replica_hot.pop_back(); }},
+      {"message slots beyond var_to_factor_pool",
+       [](Peer::Image& image) {
+         image.replica_hot[0].msg_base =
+             static_cast<uint32_t>(image.var_to_factor_pool.size());
+       }},
+      {"message slots beyond factor_to_var_pool",
+       [](Peer::Image& image) { image.factor_to_var_pool.clear(); }},
+      {"message slots beyond member_pool",
+       [](Peer::Image& image) { image.member_pool.clear(); }},
+      {"message slots beyond member_owner_pool",
+       [](Peer::Image& image) { image.member_owner_pool.clear(); }},
+      {"owned positions beyond owned_pos_pool",
+       [](Peer::Image& image) {
+         image.replica_hot[0].owned_base =
+             static_cast<uint32_t>(image.owned_pos_pool.size());
+       }},
+      {"owned position beyond member_count",
+       [](Peer::Image& image) {
+         const Peer::ReplicaHot& hot = image.replica_hot[0];
+         image.owned_pos_pool[hot.owned_base] = hot.member_count;
+       }},
+      {"route link beyond links",
+       [](Peer::Image& image) {
+         image.belief_routes[0].link =
+             static_cast<uint32_t>(image.links.size());
+       }},
+      {"route group beyond replicas",
+       [](Peer::Image& image) {
+         image.belief_routes[0].groups[0].first =
+             static_cast<uint32_t>(image.replicas.size());
+       }},
+      {"variable slot beyond replicas",
+       [](Peer::Image& image) {
+         image.vars[0].slots[0].first =
+             static_cast<uint32_t>(image.replicas.size());
+       }},
+      {"alias bound beyond replicas",
+       [](Peer::Image& image) {
+         image.links[0].replica_of_alias[0] =
+             static_cast<uint32_t>(image.replicas.size());
+       }},
+  };
+  for (const auto& [what, tamper] : tampers) {
+    NodeSnapshot tampered = snapshot;
+    tamper(tampered.engine.peers[p]);
+    const Result<NodeSnapshot> decoded =
+        DecodeSnapshot(EncodeSnapshot(tampered));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << what;
+  }
 }
 
 TEST(StateEpochTest, ValuePrecisionReKeysTheEpoch) {
