@@ -41,6 +41,8 @@ inline constexpr uint32_t kNull32 = 0xffffffffu;
 template <typename T, typename Record>
 concept RecordOf = std::same_as<std::remove_const_t<T>, Record>;
 
+/// `ValueBytes` books bytes a pass already wrote as µ values (see
+/// `PutValue` in net/codec.cc); only the counting sink keeps that split.
 struct CountingSink {
   WireBreakdown counts;
   size_t size() const { return counts.bytes; }

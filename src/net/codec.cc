@@ -1,8 +1,6 @@
 #include "net/codec.h"
 
-#include <bit>
 #include <cassert>
-#include <cstring>
 #include <limits>
 #include <type_traits>
 
