@@ -412,11 +412,7 @@ PdmsEngine::EngineImage PdmsEngine::CaptureImage() const {
   return image;
 }
 
-Status PdmsEngine::RestoreImage(const EngineImage& image) {
-  return RestoreImage(EngineImage(image));
-}
-
-Status PdmsEngine::RestoreImage(EngineImage&& image) {
+Status PdmsEngine::RestoreImage(EngineImage image) {
   if (image.peers.size() != peers_.size()) {
     return Status::InvalidArgument(
         StrFormat("image holds %zu peers, engine has %zu", image.peers.size(),

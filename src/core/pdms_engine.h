@@ -184,9 +184,9 @@ class PdmsEngine {
   /// Restores a previously captured image. Peer count must match (the
   /// image is a rollback target for the same deployment, not a migration
   /// vehicle); the topology may have gained edges since the capture — they
-  /// roll back to tombstones.
-  Status RestoreImage(const EngineImage& image);
-  Status RestoreImage(EngineImage&& image);
+  /// roll back to tombstones. Each peer image is moved in, so a caller that
+  /// keeps its image passes a copy.
+  Status RestoreImage(EngineImage image);
 
   // --- Introspection ------------------------------------------------------------
 

@@ -30,6 +30,14 @@ bool ProbeHopUseful(const ClosureFinderOptions& limits, PeerId origin,
   return next > origin && hops + 2 <= limits.max_cycle_length && ttl >= 2;
 }
 
+/// Inserts `id` into the sorted `set`; false when it is already there.
+bool InsertSorted(std::vector<FactorId>& set, const FactorId& id) {
+  const auto it = std::lower_bound(set.begin(), set.end(), id);
+  if (it != set.end() && *it == id) return false;
+  set.insert(it, id);
+  return true;
+}
+
 }  // namespace
 
 uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank) {
@@ -58,9 +66,9 @@ Peer::Peer(PeerId id, Schema schema, const Digraph* graph,
 
 Status Peer::AddMapping(EdgeId edge, SchemaMapping mapping) {
   const auto it = std::lower_bound(
-      mappings_.begin(), mappings_.end(), edge,
+      state_.mappings.begin(), state_.mappings.end(), edge,
       [](const auto& entry, EdgeId e) { return entry.first < e; });
-  if (it != mappings_.end() && it->first == edge) {
+  if (it != state_.mappings.end() && it->first == edge) {
     return Status::AlreadyExists(StrFormat("peer %u already maps edge %u", id_,
                                            edge));
   }
@@ -68,151 +76,133 @@ Status Peer::AddMapping(EdgeId edge, SchemaMapping mapping) {
     return Status::InvalidArgument(
         StrFormat("edge %u does not start at peer %u", edge, id_));
   }
-  mappings_.emplace(it, edge, std::move(mapping));
+  state_.mappings.emplace(it, edge, std::move(mapping));
   kernel_stale_ = true;
   return Status::Ok();
 }
 
 void Peer::RemoveMapping(EdgeId edge) {
   const auto it = std::lower_bound(
-      mappings_.begin(), mappings_.end(), edge,
+      state_.mappings.begin(), state_.mappings.end(), edge,
       [](const auto& entry, EdgeId e) { return entry.first < e; });
-  if (it != mappings_.end() && it->first == edge) mappings_.erase(it);
-  kernel_stale_ = true;
+  if (it != state_.mappings.end() && it->first == edge) {
+    state_.mappings.erase(it);
+  }
 
-  // Drop every replica referencing the edge, then rebuild the indexes,
-  // recompact the SoA pools, and rebuild the per-variable slot lists and
-  // belief routing tables. Churn is rare; rounds are hot.
+  // Drop every replica referencing the edge, recompact the SoA pools, then
+  // rebuild the indexes, the per-variable slot lists and the belief
+  // routing tables. Churn is rare; rounds are hot.
   //
   // The guard pool shares the message pools' slots; align it before
   // compaction (it grows lazily, so it may trail the message pools).
-  if (!guard_slot_pool_.empty() &&
-      guard_slot_pool_.size() < var_to_factor_pool_.size()) {
-    guard_slot_pool_.resize(var_to_factor_pool_.size());
+  if (!state_.guard_slot_pool.empty() &&
+      state_.guard_slot_pool.size() < state_.var_to_factor_pool.size()) {
+    state_.guard_slot_pool.resize(state_.var_to_factor_pool.size());
   }
   // Misbehavior is a property of the *neighbor*, not of the alias
   // session: carry scores and demotions across the session reset below,
   // so churn cannot parole a demoted link.
   std::vector<std::pair<PeerId, GuardLinkState>> carried;
   if (options_->byzantine_guard.enabled) {
-    for (const auto& [peer, index] : alias_link_index_) {
-      const GuardLinkState& guard = alias_links_[index].guard;
+    for (const auto& [peer, index] : link_index_) {
+      const GuardLinkState& guard = state_.links[index].guard;
       if (!guard.Blank()) carried.emplace_back(peer, guard.Carried());
     }
   }
-  const std::vector<Belief> old_var_to_factor = std::move(var_to_factor_pool_);
-  const std::vector<Belief> old_factor_to_var = std::move(factor_to_var_pool_);
-  const std::vector<MappingVarKey> old_members = std::move(member_pool_);
-  const std::vector<PeerId> old_owners = std::move(member_owner_pool_);
-  const std::vector<uint32_t> old_owned = std::move(owned_pos_pool_);
-  const std::vector<ReplicaHot> old_hot = std::move(replica_hot_);
-  const std::vector<GuardSlot> old_guard = std::move(guard_slot_pool_);
-  var_to_factor_pool_.clear();
-  factor_to_var_pool_.clear();
-  member_pool_.clear();
-  member_owner_pool_.clear();
-  owned_pos_pool_.clear();
-  replica_hot_.clear();
-  guard_slot_pool_.clear();
-  std::vector<Replica> kept;
-  kept.reserve(replicas_.size());
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
+  std::vector<Replica> old_replicas = std::exchange(state_.replicas, {});
+  const auto old_hot = std::exchange(state_.replica_hot, {});
+  const auto old_var_to_factor = std::exchange(state_.var_to_factor_pool, {});
+  const auto old_factor_to_var = std::exchange(state_.factor_to_var_pool, {});
+  const auto old_members = std::exchange(state_.member_pool, {});
+  const auto old_owners = std::exchange(state_.member_owner_pool, {});
+  const auto old_owned = std::exchange(state_.owned_pos_pool, {});
+  const auto old_guard = std::exchange(state_.guard_slot_pool, {});
+  // Appends [base, base + count) of `from` to `to`.
+  const auto keep = [](auto& to, const auto& from, uint32_t base,
+                       uint32_t count) {
+    to.insert(to.end(), from.begin() + base, from.begin() + base + count);
+  };
+  for (uint32_t r = 0; r < old_replicas.size(); ++r) {
     const ReplicaHot& hot = old_hot[r];
     const auto member_begin = old_members.begin() + hot.msg_base;
-    const auto member_end = member_begin + hot.member_count;
-    const bool touches = std::any_of(
-        member_begin, member_end,
-        [edge](const MappingVarKey& var) { return var.edge == edge; });
-    if (touches) continue;
-    ReplicaHot compacted = hot;
-    compacted.msg_base = static_cast<uint32_t>(var_to_factor_pool_.size());
-    compacted.owned_base = static_cast<uint32_t>(owned_pos_pool_.size());
-    var_to_factor_pool_.insert(
-        var_to_factor_pool_.end(), old_var_to_factor.begin() + hot.msg_base,
-        old_var_to_factor.begin() + hot.msg_base + hot.member_count);
-    factor_to_var_pool_.insert(
-        factor_to_var_pool_.end(), old_factor_to_var.begin() + hot.msg_base,
-        old_factor_to_var.begin() + hot.msg_base + hot.member_count);
-    member_pool_.insert(member_pool_.end(), member_begin, member_end);
-    member_owner_pool_.insert(
-        member_owner_pool_.end(), old_owners.begin() + hot.msg_base,
-        old_owners.begin() + hot.msg_base + hot.member_count);
-    owned_pos_pool_.insert(
-        owned_pos_pool_.end(), old_owned.begin() + hot.owned_base,
-        old_owned.begin() + hot.owned_base + hot.owned_count);
-    if (!old_guard.empty()) {
-      guard_slot_pool_.insert(
-          guard_slot_pool_.end(), old_guard.begin() + hot.msg_base,
-          old_guard.begin() + hot.msg_base + hot.member_count);
+    if (std::any_of(member_begin, member_begin + hot.member_count,
+                    [edge](const MappingVarKey& var) {
+                      return var.edge == edge;
+                    })) {
+      continue;
     }
-    replica_hot_.push_back(compacted);
-    kept.push_back(std::move(replicas_[r]));
+    ReplicaHot& compacted = state_.replica_hot.emplace_back(hot);
+    compacted.msg_base =
+        static_cast<uint32_t>(state_.var_to_factor_pool.size());
+    compacted.owned_base = static_cast<uint32_t>(state_.owned_pos_pool.size());
+    keep(state_.var_to_factor_pool, old_var_to_factor, hot.msg_base,
+         hot.member_count);
+    keep(state_.factor_to_var_pool, old_factor_to_var, hot.msg_base,
+         hot.member_count);
+    keep(state_.member_pool, old_members, hot.msg_base, hot.member_count);
+    keep(state_.member_owner_pool, old_owners, hot.msg_base,
+         hot.member_count);
+    keep(state_.owned_pos_pool, old_owned, hot.owned_base, hot.owned_count);
+    if (!old_guard.empty()) {
+      keep(state_.guard_slot_pool, old_guard, hot.msg_base, hot.member_count);
+    }
+    state_.replicas.push_back(std::move(old_replicas[r]));
   }
-  replicas_ = std::move(kept);
-  replica_index_.clear();
-  belief_routes_.clear();
   // The replica set (and with it every route) changed, so the link-local
   // alias numbering is void: clear both session directions and bump the
   // epoch. Every peer of the network processes the same removal, so the
   // sender's new numbering and the receivers' fresh tables stay in
   // lockstep, and in-flight bundles from the old numbering are rejected
   // by their stale epoch rather than misrouted.
-  alias_links_.clear();
-  alias_link_index_.clear();
-  ++alias_epoch_;
-  for (VarState& var : vars_) var.slots.clear();
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    replica_index_.emplace(replicas_[r].id, r);
-    const ReplicaHot& hot = replica_hot_[r];
-    for (uint32_t i = 0; i < hot.owned_count; ++i) {
-      const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
-      vars_[InternVar(member_pool_[hot.msg_base + pos])].slots.emplace_back(
-          r, pos);
-    }
-    AddReplicaToRoutes(r);
-  }
+  state_.belief_routes.clear();
+  state_.links.clear();
+  ++state_.alias_epoch;
+  for (VarState& var : state_.vars) var.slots.clear();
+  RebuildIndexes();
+  for (uint32_t r = 0; r < state_.replicas.size(); ++r) RegisterReplica(r);
   for (const auto& [peer, guard] : carried) {
-    alias_links_[InternAliasLink(peer)].guard = guard;
+    state_.links[InternLink(peer)].guard = guard;
   }
 }
 
 const SchemaMapping* Peer::mapping(EdgeId edge) const {
   const auto it = std::lower_bound(
-      mappings_.begin(), mappings_.end(), edge,
+      state_.mappings.begin(), state_.mappings.end(), edge,
       [](const auto& entry, EdgeId e) { return entry.first < e; });
-  return it != mappings_.end() && it->first == edge ? &it->second : nullptr;
+  return it != state_.mappings.end() && it->first == edge ? &it->second
+                                                           : nullptr;
 }
 
 std::vector<EdgeId> Peer::OutgoingEdges() const {
   std::vector<EdgeId> edges;
-  edges.reserve(mappings_.size());
-  for (const auto& [edge, mapping] : mappings_) edges.push_back(edge);
+  edges.reserve(state_.mappings.size());
+  for (const auto& [edge, mapping] : state_.mappings) edges.push_back(edge);
   return edges;
 }
 
 // --- Priors & posteriors ------------------------------------------------------
 
 uint32_t Peer::InternVar(const MappingVarKey& var) {
-  const auto [it, inserted] =
-      var_index_.emplace(var.Packed(), static_cast<uint32_t>(vars_.size()));
+  const auto [it, inserted] = var_index_.emplace(
+      var.Packed(), static_cast<uint32_t>(state_.vars.size()));
   if (inserted) {
     VarState state;
     state.key = var;
     // Interning appends, so each edge's index list stays ascending — the
     // iteration order PiggybackUpdatesFor depends on for determinism.
     edge_vars_[var.edge].push_back(it->second);
-    vars_.push_back(std::move(state));
+    state_.vars.push_back(std::move(state));
   }
   return it->second;
 }
 
 const Peer::VarState* Peer::FindVar(const MappingVarKey& var) const {
   const auto it = var_index_.find(var.Packed());
-  return it == var_index_.end() ? nullptr : &vars_[it->second];
+  return it == var_index_.end() ? nullptr : &state_.vars[it->second];
 }
 
 void Peer::SetPrior(const MappingVarKey& var, double prior) {
-  VarState& state = vars_[InternVar(var)];
+  VarState& state = state_.vars[InternVar(var)];
   state.prior = prior;
   state.has_explicit_prior = true;
   state.evidence_count = 0;
@@ -251,7 +241,8 @@ Belief Peer::PosteriorOf(const VarState* state) const {
                                                     : options_->default_prior);
   if (state != nullptr) {
     for (const auto& [replica, position] : state->slots) {
-      posterior *= factor_to_var_pool_[replica_hot_[replica].msg_base + position];
+      posterior *= state_.factor_to_var_pool
+          [state_.replica_hot[replica].msg_base + position];
     }
   }
   return posterior.Normalized();
@@ -262,7 +253,7 @@ double Peer::Posterior(const MappingVarKey& var) const {
 }
 
 void Peer::UpdatePriorsFromPosteriors() {
-  for (VarState& state : vars_) {
+  for (VarState& state : state_.vars) {
     if (state.slots.empty()) continue;
     if (!state.has_evidence_acc) {
       state.has_evidence_acc = true;
@@ -313,7 +304,7 @@ Status Peer::ValidateFactorContent(const FactorId& id, const Closure& closure,
                                    const AttributeFeedback& feedback) const {
   const auto existing = replica_index_.find(id);
   if (existing == replica_index_.end()) return Status::Ok();
-  const Replica& stored = replicas_[existing->second];
+  const Replica& stored = state_.replicas[existing->second];
   const std::span<const MappingVarKey> stored_members =
       Members(existing->second);
   // Position-based update addressing makes the member *sequence*
@@ -395,24 +386,24 @@ Status Peer::IngestFactor(const FactorId& id, const Closure& closure,
   replica.delta = delta;
   const size_t n = feedback.members.size();
   ReplicaHot hot;
-  hot.msg_base = static_cast<uint32_t>(var_to_factor_pool_.size());
+  hot.msg_base = static_cast<uint32_t>(state_.var_to_factor_pool.size());
   hot.member_count = static_cast<uint32_t>(n);
-  hot.owned_base = static_cast<uint32_t>(owned_pos_pool_.size());
+  hot.owned_base = static_cast<uint32_t>(state_.owned_pos_pool.size());
   hot.delta = delta;
   hot.positive = feedback.sign == FeedbackSign::kPositive;
-  var_to_factor_pool_.resize(hot.msg_base + n, Belief::Unit());
-  factor_to_var_pool_.resize(hot.msg_base + n, Belief::Unit());
-  member_pool_.insert(member_pool_.end(), feedback.members.begin(),
+  state_.var_to_factor_pool.resize(hot.msg_base + n, Belief::Unit());
+  state_.factor_to_var_pool.resize(hot.msg_base + n, Belief::Unit());
+  state_.member_pool.insert(state_.member_pool.end(), feedback.members.begin(),
                       feedback.members.end());
   for (size_t i = 0; i < n; ++i) {
     const PeerId owner = graph_->edge(feedback.members[i].edge).src;
-    member_owner_pool_.push_back(owner);
+    state_.member_owner_pool.push_back(owner);
     if (owner == id_) {
       // Own variables start from the locally-known prior instead of the
       // unit message; remote ones stay unit until heard from.
-      var_to_factor_pool_[hot.msg_base + i] =
+      state_.var_to_factor_pool[hot.msg_base + i] =
           Belief::FromProbability(Prior(feedback.members[i]));
-      owned_pos_pool_.push_back(static_cast<uint32_t>(i));
+      state_.owned_pos_pool.push_back(static_cast<uint32_t>(i));
       ++hot.owned_count;
     } else {
       replica.other_owners.push_back(owner);
@@ -423,58 +414,64 @@ Status Peer::IngestFactor(const FactorId& id, const Closure& closure,
       std::unique(replica.other_owners.begin(), replica.other_owners.end()),
       replica.other_owners.end());
 
-  const auto index = static_cast<uint32_t>(replicas_.size());
-  replicas_.push_back(std::move(replica));
-  replica_hot_.push_back(hot);
+  const auto index = static_cast<uint32_t>(state_.replicas.size());
+  state_.replicas.push_back(std::move(replica));
+  state_.replica_hot.push_back(hot);
   replica_index_.emplace(id, index);
-  for (uint32_t i = 0; i < hot.owned_count; ++i) {
-    const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
-    vars_[InternVar(member_pool_[hot.msg_base + pos])].slots.emplace_back(
-        index, pos);
-  }
-  AddReplicaToRoutes(index);
+  RegisterReplica(index);
   kernel_stale_ = true;
   return Status::Ok();
 }
 
-uint32_t Peer::InternAliasLink(PeerId peer) {
+uint32_t Peer::InternLink(PeerId peer) {
   const auto it = std::lower_bound(
-      alias_link_index_.begin(), alias_link_index_.end(), peer,
+      link_index_.begin(), link_index_.end(), peer,
       [](const auto& entry, PeerId p) { return entry.first < p; });
-  if (it != alias_link_index_.end() && it->first == peer) return it->second;
-  const auto index = static_cast<uint32_t>(alias_links_.size());
-  alias_links_.emplace_back();
-  alias_link_index_.emplace(it, peer, index);
+  if (it != link_index_.end() && it->first == peer) return it->second;
+  const auto index = static_cast<uint32_t>(state_.links.size());
+  state_.links.emplace_back().peer = peer;
+  link_index_.emplace(it, peer, index);
   return index;
 }
 
-void Peer::AddReplicaToRoutes(uint32_t r) {
-  const Replica& replica = replicas_[r];
-  if (replica_hot_[r].owned_count == 0) return;
+void Peer::RegisterReplica(uint32_t r) {
+  const Replica& replica = state_.replicas[r];
+  const ReplicaHot& hot = state_.replica_hot[r];
+  for (uint32_t i = 0; i < hot.owned_count; ++i) {
+    const uint32_t pos = state_.owned_pos_pool[hot.owned_base + i];
+    state_.vars[InternVar(state_.member_pool[hot.msg_base + pos])]
+        .slots.emplace_back(r, pos);
+  }
+  if (hot.owned_count == 0) return;
   for (PeerId peer : replica.other_owners) {
-    // First mention of this factor over the (this -> peer) link: negotiate
-    // the session alias the route will emit under. Replicas register in
-    // ascending index order, so aliases ascend with replica index and
-    // each route's group list stays in canonical emission order — the
-    // order the determinism guarantee rides on.
-    const uint32_t link = InternAliasLink(peer);
-    const uint32_t alias = alias_links_[link].session.tx.Assign(replica.id);
+    // First mention of this factor over the (this -> peer) link: the next
+    // session alias is the route's. Each (replica, recipient) pair
+    // registers once — replica ids are unique and `other_owners` is
+    // deduplicated — and in ascending replica order, so aliases ascend
+    // with replica index and each route's group list stays in canonical
+    // emission order, the order the determinism guarantee rides on.
+    const uint32_t link = InternLink(peer);
+    std::vector<FactorId>& sent = state_.links[link].tx.id_of;
+    const auto alias = static_cast<uint32_t>(sent.size());
+    sent.push_back(replica.id);
     auto it = std::lower_bound(
-        belief_routes_.begin(), belief_routes_.end(), peer,
+        state_.belief_routes.begin(), state_.belief_routes.end(), peer,
         [](const BeliefRoute& route, PeerId p) { return route.to < p; });
-    if (it == belief_routes_.end() || it->to != peer) {
-      it = belief_routes_.insert(it, BeliefRoute{peer, link, 0, {}});
+    if (it == state_.belief_routes.end() || it->to != peer) {
+      it = state_.belief_routes.insert(it, BeliefRoute{peer, link, 0, {}});
     }
-    it->entry_total += replica_hot_[r].owned_count;
+    it->entry_total += hot.owned_count;
     it->groups.emplace_back(r, alias);
   }
 }
 
 void Peer::AbsorbResolved(uint32_t r, uint32_t position, const Belief& belief) {
-  const ReplicaHot& hot = replica_hot_[r];
-  if (position >= hot.member_count) return;                    // malformed
-  if (member_owner_pool_[hot.msg_base + position] == id_) return;  // forged
-  var_to_factor_pool_[hot.msg_base + position] = belief;
+  const ReplicaHot& hot = state_.replica_hot[r];
+  if (position >= hot.member_count) return;  // malformed
+  if (state_.member_owner_pool[hot.msg_base + position] == id_) {
+    return;  // forged
+  }
+  state_.var_to_factor_pool[hot.msg_base + position] = belief;
 }
 
 void Peer::AbsorbBeliefUpdate(const BeliefUpdate& update) {
@@ -496,12 +493,12 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
   // transmit session would mark bindings as established that the new
   // receive tables never saw, silencing the full-id fallback for good,
   // so the whole bundle is rejected up front.
-  if (message.epoch != alias_epoch_) {
+  if (message.epoch != state_.alias_epoch) {
     return Status::FailedPrecondition(StrFormat(
         "belief bundle from peer %u carries alias epoch %u, peer %u is at %u",
-        from, message.epoch, id_, alias_epoch_));
+        from, message.epoch, id_, state_.alias_epoch));
   }
-  PeerLink& link = alias_links_[InternAliasLink(from)];
+  Link& link = state_.links[InternLink(from)];
   const bool guarded = options_->byzantine_guard.enabled;
   if (guarded) {
     // Hard-quarantined link: nothing in the bundle is trusted — not the
@@ -514,20 +511,21 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
     }
     // Slot histories share the message pools' slots and grow lazily, so
     // replicas ingested since the last bundle get theirs here.
-    if (guard_slot_pool_.size() < var_to_factor_pool_.size()) {
-      guard_slot_pool_.resize(var_to_factor_pool_.size());
+    if (state_.guard_slot_pool.size() < state_.var_to_factor_pool.size()) {
+      state_.guard_slot_pool.resize(state_.var_to_factor_pool.size());
     }
   }
-  AliasSessionTx& tx = link.session.tx;
+  AliasSessionTx& tx = link.tx;
   // The bundle's ack acknowledges *our* transmit session toward the
   // sender. Latest-wins, not max: an honest receiver's ack is monotone
   // and bundles arrive per-sender FIFO, so overwriting never loses
   // ground — while a *forged* high ack is corrected by the next genuine
   // bundle instead of permanently silencing the full-fingerprint
   // fallback (max would ratchet the forgery in forever). Clamping to
-  // next_alias keeps never-declared aliases out either way.
-  tx.acked_prefix = std::min(message.ack, tx.next_alias);
-  AliasSessionRx& rx = link.session.rx;
+  // the aliases assigned so far keeps never-declared ones out either way.
+  tx.acked_prefix =
+      std::min(message.ack, static_cast<uint32_t>(tx.id_of.size()));
+  AliasSessionRx& rx = link.rx;
   Status status = Status::Ok();
   // One entry of a resolved group: straight into the pool, or through the
   // guard stage when it is enabled.
@@ -613,23 +611,23 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
 void Peer::AbsorbGuarded(PeerId from, GuardLinkState& guard, uint32_t r,
                          const BeliefEntry& entry, uint32_t value_bits,
                          Status* status) {
-  const ReplicaHot& hot = replica_hot_[r];
+  const ReplicaHot& hot = state_.replica_hot[r];
   const GuardScope scope{
-      id_, from, round_,
-      {member_owner_pool_.data() + hot.msg_base, hot.member_count},
-      {guard_slot_pool_.data() + hot.msg_base, hot.member_count}};
+      id_, from, state_.round,
+      {state_.member_owner_pool.data() + hot.msg_base, hot.member_count},
+      {state_.guard_slot_pool.data() + hot.msg_base, hot.member_count}};
   // The guard's checks subsume AbsorbResolved's; it hands back the value
   // to write (damped on a soft-demoted link).
   if (const std::optional<Belief> admitted =
           GuardAdmit(entry, value_bits, scope, guard, status)) {
-    var_to_factor_pool_[hot.msg_base + entry.position] = *admitted;
+    state_.var_to_factor_pool[hot.msg_base + entry.position] = *admitted;
   }
 }
 
 void Peer::GuardEndOfRound() {
   std::vector<double> clean_means;
-  clean_means.reserve(alias_links_.size());
-  for (const PeerLink& link : alias_links_) {
+  clean_means.reserve(state_.links.size());
+  for (const Link& link : state_.links) {
     if (link.guard.demote_level == 0 && link.guard.round_absorbed > 0) {
       clean_means.push_back(link.guard.round_influence /
                             link.guard.round_absorbed);
@@ -638,12 +636,12 @@ void Peer::GuardEndOfRound() {
   const double baseline = GuardOutlierBaseline(clean_means);
   // Each link closes its round from its own record and the shared
   // baseline, and a purge touches only the quarantined peer's own slots,
-  // so walking the links in peer order decides exactly as intern order.
-  for (const auto& [peer, index] : alias_link_index_) {
-    if (GuardCloseRound(alias_links_[index].guard, baseline,
+  // so the walk order does not matter.
+  for (Link& link : state_.links) {
+    if (GuardCloseRound(link.guard, baseline,
                         options_->byzantine_guard.demote_threshold)) {
-      PurgeGuardDeposits(peer, member_owner_pool_, var_to_factor_pool_,
-                         guard_slot_pool_);
+      PurgeGuardDeposits(link.peer, state_.member_owner_pool,
+                         state_.var_to_factor_pool, state_.guard_slot_pool);
     }
   }
 }
@@ -654,12 +652,12 @@ double Peer::ComputeRound() {
   // Streams only the flat hot array and the SoA pools: no cold replica
   // struct, no per-replica heap vector, no virtual factor dispatch.
   const bool damped = options_->damping > 0.0;
-  for (const ReplicaHot& hot : replica_hot_) {
+  for (const ReplicaHot& hot : state_.replica_hot) {
     const std::span<const Belief> incoming(
-        var_to_factor_pool_.data() + hot.msg_base, hot.member_count);
+        state_.var_to_factor_pool.data() + hot.msg_base, hot.member_count);
     for (uint32_t i = 0; i < hot.owned_count; ++i) {
-      const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
-      Belief& target = factor_to_var_pool_[hot.msg_base + pos];
+      const uint32_t pos = state_.owned_pos_pool[hot.owned_base + i];
+      Belief& target = state_.factor_to_var_pool[hot.msg_base + pos];
       Belief computed =
           CycleFeedbackMessage(pos, incoming, hot.positive, hot.delta)
               .Rescaled();
@@ -685,11 +683,11 @@ double Peer::ComputeRound() {
     ExclusivePrefixSuffixProducts(
         k,
         [&](size_t j) -> const Belief& {
-          return factor_to_var_pool_[slots[j]];
+          return state_.factor_to_var_pool[slots[j]];
         },
         &prefix_scratch_, &suffix_scratch_);
     for (size_t j = 0; j < k; ++j) {
-      var_to_factor_pool_[slots[j]] =
+      state_.var_to_factor_pool[slots[j]] =
           (prior * prefix_scratch_[j] * suffix_scratch_[j + 1]).Rescaled();
     }
     slots += k;
@@ -697,7 +695,7 @@ double Peer::ComputeRound() {
     // ⊥ rule applied exactly as in PosteriorBelief.
     const double now =
         kernel.bottom ? 0.0 : (prior * prefix_scratch_[k]).Normalized().correct;
-    VarState& var = vars_[kernel.var];
+    VarState& var = state_.vars[kernel.var];
     if (var.has_last_posterior) {
       max_change = std::max(max_change, std::abs(now - var.last_posterior));
     } else {
@@ -713,7 +711,7 @@ double Peer::ComputeRound() {
   if (options_->value_precision.error_budget > 0.0) {
     const uint32_t target =
         ValueRankTarget(options_->value_precision, max_change);
-    for (PeerLink& link : alias_links_) {
+    for (Link& link : state_.links) {
       if (link.value_rank < target) {
         link.value_rank = static_cast<uint8_t>(target);
       }
@@ -723,15 +721,15 @@ double Peer::ComputeRound() {
   // The round clock is maintained unconditionally (the guard's same-round
   // window and the chaos layer's draw key both read it); with both off
   // the increment touches nothing else.
-  ++round_;
+  ++state_.round;
   return max_change;
 }
 
 void Peer::RebuildKernel() {
   kernel_vars_.clear();
   kernel_slots_.clear();
-  for (uint32_t v = 0; v < vars_.size(); ++v) {
-    const VarState& var = vars_[v];
+  for (uint32_t v = 0; v < state_.vars.size(); ++v) {
+    const VarState& var = state_.vars[v];
     if (var.slots.empty()) continue;
     bool bottom = false;
     if (var.key.attribute != MappingVarKey::kWholeMapping) {
@@ -745,7 +743,7 @@ void Peer::RebuildKernel() {
     kernel.bottom = bottom ? 1 : 0;
     kernel_vars_.push_back(kernel);
     for (const auto& [replica, position] : var.slots) {
-      kernel_slots_.push_back(replica_hot_[replica].msg_base + position);
+      kernel_slots_.push_back(state_.replica_hot[replica].msg_base + position);
     }
   }
   kernel_stale_ = false;
@@ -757,24 +755,22 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
   // this is a straight pour: no per-round map, no re-bucketing, no alias
   // lookup (the alias was negotiated when the route was built).
   out->clear();
-  out->reserve(belief_routes_.size());
+  out->reserve(state_.belief_routes.size());
   const bool quantize = options_->value_precision.error_budget > 0.0;
   const ByzantinePlan& chaos = options_->byzantine;
   const bool adversarial = chaos.Enabled() && chaos.IsAdversary(id_);
   std::vector<FactorId> chaos_group_ids;
-  for (const BeliefRoute& route : belief_routes_) {
-    const PeerLink& link = alias_links_[route.link];
-    const AliasLink& session = link.session;
-    const AliasSessionTx& tx = session.tx;
+  for (const BeliefRoute& route : state_.belief_routes) {
+    const Link& link = state_.links[route.link];
     BeliefMessage bundle;
-    bundle.epoch = alias_epoch_;
+    bundle.epoch = state_.alias_epoch;
     // Piggybacked ack for the reverse session: how much of the sender's
     // numbering *we* have bound (0 until they have sent us anything).
-    bundle.ack = session.rx.known_prefix;
+    bundle.ack = link.rx.known_prefix;
     bundle.groups.reserve(route.groups.size());
     bundle.entries.reserve(route.entry_total);
     for (const auto& [replica, alias] : route.groups) {
-      const ReplicaHot& hot = replica_hot_[replica];
+      const ReplicaHot& hot = state_.replica_hot[replica];
       BeliefGroup group;
       group.alias = alias;
       group.entry_begin = static_cast<uint32_t>(bundle.entries.size());
@@ -782,11 +778,11 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
       // Unacknowledged binding: keep declaring the full fingerprint so a
       // dropped first mention degrades to full-id traffic, never to an
       // unknown alias at the receiver.
-      if (alias >= tx.acked_prefix) group.id = replicas_[replica].id;
+      if (alias >= link.tx.acked_prefix) group.id = state_.replicas[replica].id;
       for (uint32_t i = 0; i < hot.owned_count; ++i) {
-        const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
+        const uint32_t pos = state_.owned_pos_pool[hot.owned_base + i];
         bundle.entries.push_back(
-            BeliefEntry{pos, var_to_factor_pool_[hot.msg_base + pos]});
+            BeliefEntry{pos, state_.var_to_factor_pool[hot.msg_base + pos]});
       }
       bundle.groups.push_back(group);
     }
@@ -809,9 +805,9 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
       chaos_group_ids.clear();
       chaos_group_ids.reserve(route.groups.size());
       for (const auto& [replica, alias] : route.groups) {
-        chaos_group_ids.push_back(replicas_[replica].id);
+        chaos_group_ids.push_back(state_.replicas[replica].id);
       }
-      ApplyByzantineFaults(chaos, id_, route.to, round_, chaos_group_ids,
+      ApplyByzantineFaults(chaos, id_, route.to, state_.round, chaos_group_ids,
                            &bundle);
     }
     Outgoing& outgoing = out->emplace_back();
@@ -831,10 +827,11 @@ std::vector<BeliefUpdate> Peer::PiggybackUpdatesFor(EdgeId edge) const {
   const auto it = edge_vars_.find(edge);
   if (it == edge_vars_.end()) return updates;
   for (uint32_t v : it->second) {
-    for (const auto& [replica, position] : vars_[v].slots) {
+    for (const auto& [replica, position] : state_.vars[v].slots) {
       updates.push_back(BeliefUpdate{
-          replicas_[replica].id, position,
-          var_to_factor_pool_[replica_hot_[replica].msg_base + position]});
+          state_.replicas[replica].id, position,
+          state_.var_to_factor_pool
+              [state_.replica_hot[replica].msg_base + position]});
     }
   }
   return updates;
@@ -842,9 +839,9 @@ std::vector<BeliefUpdate> Peer::PiggybackUpdatesFor(EdgeId edge) const {
 
 std::vector<Peer::ReplicaView> Peer::ReplicaViews() const {
   std::vector<ReplicaView> views;
-  views.reserve(replicas_.size());
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    const Replica& replica = replicas_[r];
+  views.reserve(state_.replicas.size());
+  for (uint32_t r = 0; r < state_.replicas.size(); ++r) {
+    const Replica& replica = state_.replicas[r];
     const std::span<const MappingVarKey> members = Members(r);
     views.push_back(ReplicaView{
         replica.id, replica.root_attribute, replica.sign,
@@ -855,19 +852,17 @@ std::vector<Peer::ReplicaView> Peer::ReplicaViews() const {
 }
 
 std::vector<Peer::GuardLinkView> Peer::GuardViews() const {
-  std::vector<GuardLinkView> views(alias_links_.size());
-  for (const auto& [peer, index] : alias_link_index_) {
-    views[index].peer = peer;
-  }
-  for (size_t i = 0; i < alias_links_.size(); ++i) {
-    views[i].state = alias_links_[i].guard;
+  std::vector<GuardLinkView> views;
+  views.reserve(state_.links.size());
+  for (const Link& link : state_.links) {
+    views.push_back(GuardLinkView{link.peer, link.guard});
   }
   return views;
 }
 
 uint64_t Peer::guard_rejected_entries() const {
   uint64_t total = 0;
-  for (const PeerLink& link : alias_links_) {
+  for (const Link& link : state_.links) {
     total += link.guard.rejections + link.guard.equivocations;
   }
   return total;
@@ -875,7 +870,7 @@ uint64_t Peer::guard_rejected_entries() const {
 
 uint64_t Peer::guard_demoted_links() const {
   uint64_t total = 0;
-  for (const PeerLink& link : alias_links_) {
+  for (const Link& link : state_.links) {
     if (link.guard.demote_level >= 1) ++total;
   }
   return total;
@@ -883,7 +878,7 @@ uint64_t Peer::guard_demoted_links() const {
 
 size_t Peer::RemoteMessageBound() const {
   size_t bound = 0;
-  for (const ReplicaHot& hot : replica_hot_) {
+  for (const ReplicaHot& hot : state_.replica_hot) {
     bound += hot.owned_count * (hot.member_count - 1);
   }
   return bound;
@@ -891,109 +886,30 @@ size_t Peer::RemoteMessageBound() const {
 
 // --- Durable state --------------------------------------------------------------
 
-Peer::Image Peer::CaptureImage() const {
-  Image image;
-  image.mappings = mappings_;
-  image.replicas = replicas_;
-  image.replica_hot = replica_hot_;
-  image.var_to_factor_pool = var_to_factor_pool_;
-  image.factor_to_var_pool = factor_to_var_pool_;
-  image.member_pool = member_pool_;
-  image.member_owner_pool = member_owner_pool_;
-  image.owned_pos_pool = owned_pos_pool_;
-  image.belief_routes = belief_routes_;
-  image.links.resize(alias_links_.size());
-  for (const auto& [peer, index] : alias_link_index_) {
-    image.links[index].peer = peer;
-  }
-  for (size_t i = 0; i < alias_links_.size(); ++i) {
-    const PeerLink& link = alias_links_[i];
-    LinkImage& out = image.links[i];
-    // Aliases are assigned densely, so inverting the transmit map into an
-    // alias-indexed vector is lossless.
-    out.tx_id_by_alias.assign(link.session.tx.next_alias, FactorId{});
-    for (const auto& [id, alias] : link.session.tx.alias_of) {
-      out.tx_id_by_alias[alias] = id;
-    }
-    out.tx_acked_prefix = link.session.tx.acked_prefix;
-    out.rx_id_of = link.session.rx.id_of;
-    out.rx_known_prefix = link.session.rx.known_prefix;
-    out.replica_of_alias = link.replica_of_alias;
-    out.value_rank = link.value_rank;
-    out.guard = link.guard;
-  }
-  image.alias_epoch = alias_epoch_;
-  image.guard_slot_pool = guard_slot_pool_;
-  image.round = round_;
-  image.vars = vars_;
-  image.announced.assign(announced_.begin(), announced_.end());
-  std::sort(image.announced.begin(), image.announced.end());
-  image.probe_cache.reserve(probe_cache_.size());
-  for (const auto& [origin, probes] : probe_cache_) {
-    image.probe_cache.emplace_back(origin, probes);
-  }
-  std::sort(image.probe_cache.begin(), image.probe_cache.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return image;
+void Peer::RestoreImage(Image image) {
+  state_ = std::move(image);
+  RebuildIndexes();
+  seen_queries_.clear();
 }
 
-void Peer::RestoreImage(const Image& image) { RestoreImage(Image(image)); }
-
-void Peer::RestoreImage(Image&& image) {
-  mappings_ = std::move(image.mappings);
-  replicas_ = std::move(image.replicas);
-  replica_hot_ = std::move(image.replica_hot);
-  var_to_factor_pool_ = std::move(image.var_to_factor_pool);
-  factor_to_var_pool_ = std::move(image.factor_to_var_pool);
-  member_pool_ = std::move(image.member_pool);
-  member_owner_pool_ = std::move(image.member_owner_pool);
-  owned_pos_pool_ = std::move(image.owned_pos_pool);
-  belief_routes_ = std::move(image.belief_routes);
-  alias_links_.clear();
-  alias_links_.resize(image.links.size());
-  alias_link_index_.clear();
-  alias_link_index_.reserve(image.links.size());
-  for (size_t i = 0; i < image.links.size(); ++i) {
-    LinkImage& in = image.links[i];
-    PeerLink& link = alias_links_[i];
-    link.session.tx.next_alias = static_cast<uint32_t>(in.tx_id_by_alias.size());
-    link.session.tx.acked_prefix = in.tx_acked_prefix;
-    for (uint32_t alias = 0; alias < in.tx_id_by_alias.size(); ++alias) {
-      if (!in.tx_id_by_alias[alias].IsNil()) {
-        link.session.tx.alias_of.emplace(in.tx_id_by_alias[alias], alias);
-      }
-    }
-    link.session.rx.id_of = std::move(in.rx_id_of);
-    link.session.rx.known_prefix = in.rx_known_prefix;
-    link.replica_of_alias = std::move(in.replica_of_alias);
-    link.value_rank = static_cast<uint8_t>(in.value_rank);
-    link.guard = in.guard;
-    alias_link_index_.emplace_back(in.peer, static_cast<uint32_t>(i));
+void Peer::RebuildIndexes() {
+  replica_index_.clear();
+  for (uint32_t r = 0; r < state_.replicas.size(); ++r) {
+    replica_index_.emplace(state_.replicas[r].id, r);
   }
-  std::sort(alias_link_index_.begin(), alias_link_index_.end());
-  alias_epoch_ = image.alias_epoch;
-  guard_slot_pool_ = std::move(image.guard_slot_pool);
-  round_ = image.round;
-  vars_ = std::move(image.vars);
-  var_index_.clear();
-  edge_vars_.clear();
   // Re-intern in stored order, reproducing the original `InternVar`
   // sequence bit for bit (each edge's index list stays ascending).
-  for (uint32_t v = 0; v < vars_.size(); ++v) {
-    var_index_.emplace(vars_[v].key.Packed(), v);
-    edge_vars_[vars_[v].key.edge].push_back(v);
+  var_index_.clear();
+  edge_vars_.clear();
+  for (uint32_t v = 0; v < state_.vars.size(); ++v) {
+    var_index_.emplace(state_.vars[v].key.Packed(), v);
+    edge_vars_[state_.vars[v].key.edge].push_back(v);
   }
-  replica_index_.clear();
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    replica_index_.emplace(replicas_[r].id, r);
+  link_index_.clear();
+  for (uint32_t i = 0; i < state_.links.size(); ++i) {
+    link_index_.emplace_back(state_.links[i].peer, i);
   }
-  announced_.clear();
-  announced_.insert(image.announced.begin(), image.announced.end());
-  seen_queries_.clear();
-  probe_cache_.clear();
-  for (auto& [origin, probes] : image.probe_cache) {
-    probe_cache_.emplace(origin, std::move(probes));
-  }
+  std::sort(link_index_.begin(), link_index_.end());
   kernel_stale_ = true;
 }
 
@@ -1004,7 +920,7 @@ std::vector<Outgoing> Peer::StartProbes() const {
   // An attribute-less schema has no images to compare: nothing to probe.
   const auto width = static_cast<uint32_t>(schema_.size());
   if (options_->probe_ttl == 0 || width == 0) return out;
-  for (const auto& [edge, mapping] : mappings_) {
+  for (const auto& [edge, mapping] : state_.mappings) {
     const NodeId next = graph_->edge(edge).dst;
     if (!ProbeHopUseful(options_->closure_limits, id_, /*origin_is_min=*/true,
                         /*hops=*/0, options_->probe_ttl, next)) {
@@ -1221,7 +1137,7 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
       closure.source = id_;
       closure.sink = id_;
       const FactorId base = FactorId::Make(closure, 0);
-      if (announced_.insert(base).second) {
+      if (InsertSorted(state_.announced, base)) {
         FeedbackAnnouncement announcement;
         announcement.closure = std::move(closure);
         announcement.delta = EffectiveDelta();
@@ -1239,7 +1155,17 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
   // Parallel-path detection (Section 3.3): pair this probe against cached
   // probes from the same origin arriving via an independent route.
   if (probe.route.size() <= limits.max_path_length) {
-    for (const ProbeMessage& cached : probe_cache_[probe.origin]) {
+    // Every origin that gets this far gets an entry, even one that stays
+    // empty (`max_cached_probes` 0): snapshots carry these entries.
+    auto& origins = state_.probe_cache;
+    auto entry = std::lower_bound(
+        origins.begin(), origins.end(), probe.origin,
+        [](const auto& e, PeerId origin) { return e.first < origin; });
+    if (entry == origins.end() || entry->first != probe.origin) {
+      entry = origins.emplace(entry, probe.origin, std::vector<ProbeMessage>{});
+    }
+    std::vector<ProbeMessage>& cache = entry->second;
+    for (const ProbeMessage& cached : cache) {
       if (cached.route.size() > limits.max_path_length) continue;
       if (!RoutesIndependent(cached.route, probe.route)) continue;
       // Canonical path order (lexicographically smaller edge sequence
@@ -1257,7 +1183,7 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
       closure.source = probe.origin;
       closure.sink = id_;
       const FactorId base = FactorId::Make(closure, 0);
-      if (!announced_.insert(base).second) continue;
+      if (!InsertSorted(state_.announced, base)) continue;
       FeedbackAnnouncement announcement;
       announcement.closure = std::move(closure);
       announcement.delta = EffectiveDelta();
@@ -1268,7 +1194,6 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
       }
       AnnounceToOwners(announcement, &out);
     }
-    auto& cache = probe_cache_[probe.origin];
     if (cache.size() < options_->max_cached_probes) cache.push_back(probe);
   }
 
@@ -1277,7 +1202,7 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe,
   if (probe.ttl == 0) return out;
   const size_t hops = probe.route.size();
   const size_t last_hop = hops - 1;
-  for (const auto& [edge, mapping] : mappings_) {
+  for (const auto& [edge, mapping] : state_.mappings) {
     const NodeId next = graph_->edge(edge).dst;
     if (!ProbeHopUseful(limits, probe.origin, origin_is_min, hops, probe.ttl,
                         next)) {
@@ -1337,7 +1262,7 @@ QueryActions Peer::ProcessQuery(const QueryMessage& message,
 
   if (message.ttl == 0) return actions;
   const std::vector<AttributeId> attributes = message.query.Attributes();
-  for (const auto& [edge, mapping] : mappings_) {
+  for (const auto& [edge, mapping] : state_.mappings) {
     const NodeId next = graph_->edge(edge).dst;
     if (std::find(message.visited.begin(), message.visited.end(), next) !=
         message.visited.end()) {

@@ -72,22 +72,25 @@ uint32_t ValueRankTarget(const ValuePrecisionOptions& precision,
 /// strictly peer-local, the engine may execute `ComputeRound` for distinct
 /// peers on distinct threads; a single `Peer` is not itself thread-safe.
 ///
+/// The peer's state *is* its image: every durable field lives in one
+/// canonical `Image` member, the unit the undo sessions copy and the
+/// snapshot layer serializes, so capture is a copy and restore a move.
+/// Outside it sit only indexes derived from it, rebuilt by one function.
+///
 /// Hot-path layout: replicas and mapping variables are interned into dense
-/// arrays (`replicas_`, `vars_`) indexed by 128-bit `FactorId` fingerprints
-/// (identity-hashed — no string keys anywhere past ingest), and each
-/// variable keeps its (replica, position) slots. *All* per-replica hot
-/// state lives in contiguous structure-of-arrays pools addressed by
-/// base/length offsets from the flat `ReplicaHot` array: the message pools
-/// (`var_to_factor_pool_`, `factor_to_var_pool_`, slot = `msg_base +
-/// position`), the member scope and its owners (`member_pool_`,
-/// `member_owner_pool_`, same slots), and the owned positions
-/// (`owned_pos_pool_`). `ComputeRound` and `AbsorbBeliefUpdate` therefore
-/// touch no per-replica heap vectors at all — the cold `Replica` structs
-/// exist only for ingest, introspection and rebuilds — and perform no heap
-/// allocation after the first round with a given evidence set. Outgoing
-/// belief bundles are emitted from per-recipient routing tables
-/// precomputed at ingest, with factor identity compressed to link-local
-/// session aliases (`AliasSessionTx`/`AliasSessionRx` in net/message.h).
+/// arrays (`Image::replicas`, `Image::vars`) indexed by 128-bit `FactorId`
+/// fingerprints (identity-hashed — no string keys anywhere past ingest),
+/// and each variable keeps its (replica, position) slots. *All*
+/// per-replica hot state lives in contiguous structure-of-arrays pools
+/// addressed by base/length offsets from the flat `ReplicaHot` array: the
+/// message pools (slot = `msg_base + position`), the member scope and its
+/// owners (same slots), and the owned positions. `ComputeRound` and
+/// `AbsorbBeliefUpdate` therefore touch no per-replica heap vectors at all
+/// — the cold `Replica` structs exist only for ingest, introspection and
+/// rebuilds — and perform no heap allocation after the first round with a
+/// given evidence set. Outgoing belief bundles are emitted from
+/// per-recipient routing tables precomputed at ingest, with factor
+/// identity compressed to link-local session aliases (`Link`).
 class Peer {
  public:
   /// `graph` is the shared topology (used only to resolve edge endpoints,
@@ -200,7 +203,7 @@ class Peer {
   std::vector<BeliefUpdate> PiggybackUpdatesFor(EdgeId edge) const;
 
   /// Number of factor replicas currently stored.
-  size_t replica_count() const { return replicas_.size(); }
+  size_t replica_count() const { return state_.replicas.size(); }
 
   // --- Byzantine guard introspection -------------------------------------------
 
@@ -285,7 +288,7 @@ class Peer {
   /// through the parallel `ReplicaHot` entry: members and their owners at
   /// [msg_base, msg_base + member_count) of the member pools (the same
   /// slots as the message pools), owned positions at [owned_base,
-  /// owned_base + owned_count) of `owned_pos_pool_`.
+  /// owned_base + owned_count) of `owned_pos_pool`.
   struct Replica {
     FactorId id;
     Closure closure;
@@ -315,7 +318,7 @@ class Peer {
   /// replica index and the negotiated session alias are stored.
   struct BeliefRoute {
     PeerId to = 0;
-    /// Index of the recipient's session in `alias_links_`.
+    /// Index of the recipient's link in `Image::links`.
     uint32_t link = 0;
     /// Total entries across `groups` (Σ owned_count), so collect reserves
     /// the bundle's flat entry array without a counting pre-pass.
@@ -345,78 +348,98 @@ class Peer {
   /// ingested here, or alias not yet resolved.
   static constexpr uint32_t kNoReplica = static_cast<uint32_t>(-1);
 
-  /// One neighbor's alias state in canonical (serializable) form: both
-  /// session directions flattened to dense alias-indexed vectors. The
-  /// transmit map `AliasSessionTx::alias_of` is stored inverted
-  /// (`tx_id_by_alias[alias] = id`); aliases are assigned densely, so the
-  /// inversion is lossless and order-free.
-  struct LinkImage {
+  /// One neighbor link: both directions of its alias session, the
+  /// transmit precision tier and the guard record.
+  struct Link {
     PeerId peer = 0;
-    std::vector<FactorId> tx_id_by_alias;
-    uint32_t tx_acked_prefix = 0;
-    std::vector<FactorId> rx_id_of;
-    uint32_t rx_known_prefix = 0;
+    /// What we send them: the factor behind each alias our route emits.
+    AliasSessionTx tx;
+    /// What we learned from them; `rx.known_prefix` is the ack we
+    /// piggyback back.
+    AliasSessionRx rx;
+    /// Receive-side alias -> replica-index cache, so steady-state
+    /// absorption is a single 4-byte load per group instead of a
+    /// fingerprint hash lookup per update.
     std::vector<uint32_t> replica_of_alias;
-    /// Transmit-side value-precision tier (see `PeerLink::value_rank`).
-    uint32_t value_rank = 0;
-    /// Byzantine-guard record; zeros when the guard is off. Persisted so
-    /// demotion trajectories replay identically after a restore (snapshot
-    /// format v3).
+    /// Transmit-side precision tier under a value error budget: 0 coarse,
+    /// 1 mid, 2 fine. Stepped up — never down — at the end of
+    /// `ComputeRound` from the peer's residual, so a link's precision
+    /// trajectory is monotone and a restored peer continues it
+    /// identically. Unused when quantization is off.
+    uint8_t value_rank = 0;
+    /// Byzantine-guard record (EngineOptions::byzantine_guard); untouched
+    /// — and all zero — while the guard is disabled.
     GuardLinkState guard;
   };
 
-  /// A complete, self-contained copy of this peer's mutable state in
-  /// canonical form: dense arrays only, no hash tables, no pointers — the
-  /// unit the undo sessions copy and the snapshot layer serializes. All
-  /// derived indexes (`replica_index_`, `var_index_`, `edge_vars_`, the
-  /// alias maps) are rebuilt deterministically by `RestoreImage`, so two
-  /// peers restored from equal images are behaviorally identical, bit for
-  /// bit. The document store is intentionally excluded: it is configured
-  /// at deployment time and never mutated by the protocol. So are the
-  /// seen query ids: the engine forgets a batch's ids once the batch
-  /// quiesces, and images are only taken between batches.
+  /// The peer's complete mutable state in canonical form: dense arrays
+  /// only, no hash tables, no pointers. The peer holds its state as one
+  /// `Image`, so a capture is a copy of it and a restore moves one in and
+  /// rebuilds the derived indexes (`replica_index_`, `var_index_`,
+  /// `edge_vars_`, the link-by-peer index, the round kernel) — two peers
+  /// holding equal images are behaviorally identical, bit for bit. The
+  /// document store is intentionally excluded: it is configured at
+  /// deployment time and never mutated by the protocol. So are the seen
+  /// query ids: the engine forgets a batch's ids once the batch quiesces,
+  /// and images are only taken between batches.
   struct Image {
+    /// Outgoing mappings, flat and sorted by EdgeId (few per peer; binary
+    /// search beats a node-based map and iteration stays in EdgeId order,
+    /// which probe/query forwarding depends on for determinism).
     std::vector<std::pair<EdgeId, SchemaMapping>> mappings;
+    /// Dense replica store, in announcement arrival order (deterministic
+    /// under the engine's serial message dispatch), with its flat hot
+    /// state in parallel.
     std::vector<Replica> replicas;
     std::vector<ReplicaHot> replica_hot;
+    /// SoA message pools, indexed by replica msg_base + member position:
+    /// last µ_{member -> factor} per member (unit until heard otherwise),
+    /// and µ_{factor -> member}, maintained for *owned* members.
     std::vector<Belief> var_to_factor_pool;
     std::vector<Belief> factor_to_var_pool;
+    /// Member scope + member owners, sharing the message pools' slots.
     std::vector<MappingVarKey> member_pool;
     std::vector<PeerId> member_owner_pool;
+    /// Owned member positions (ascending per replica), at owned_base.
     std::vector<uint32_t> owned_pos_pool;
+    /// Per-recipient outgoing-belief routes, ascending by recipient; built
+    /// incrementally at ingest, rebuilt on mapping removal.
     std::vector<BeliefRoute> belief_routes;
-    /// In alias-link creation order (deterministic: it follows replica
-    /// ingest order), so `BeliefRoute::link` indexes into it unchanged.
-    std::vector<LinkImage> links;
+    /// One per neighbor, in creation order (it follows replica ingest
+    /// order), so `BeliefRoute::link` indexes into it. Cleared and
+    /// renegotiated under a bumped epoch on `RemoveMapping` (the engine
+    /// removes mappings network-wide, so both endpoints of every session
+    /// bump in lockstep).
+    std::vector<Link> links;
     uint32_t alias_epoch = 0;
-    /// Per-slot Byzantine-guard history (empty when the guard is off).
+    /// Per-slot guard history, sharing the message pools' slots; sized
+    /// only while the guard is enabled (empty otherwise, so the guard-off
+    /// footprint is unchanged).
     std::vector<GuardSlot> guard_slot_pool;
-    /// Completed local inference rounds (the guard's logical clock and
-    /// the chaos layer's draw key).
+    /// Completed `ComputeRound` calls — the guard's same-round clock and
+    /// the Byzantine chaos layer's draw key. Always maintained (no
+    /// behavioral effect while guard and chaos are off).
     uint64_t round = 0;
-    /// In intern order — restoring re-interns in the same order, so the
-    /// rebuilt `var_index_` / `edge_vars_` iterate identically.
+    /// Dense per-variable state, in intern order.
     std::vector<VarState> vars;
-    std::vector<FactorId> announced;       ///< sorted
-    /// Sorted by origin; each origin's probes in arrival order.
+    /// Closures this peer has already announced (dedup), sorted.
+    std::vector<FactorId> announced;
+    /// Cached foreign probes for parallel detection, sorted by origin;
+    /// each origin's probes in arrival order.
     std::vector<std::pair<PeerId, std::vector<ProbeMessage>>> probe_cache;
   };
 
-  /// Copies the peer's mutable state into canonical form. O(state); no
-  /// effect on the peer.
-  Image CaptureImage() const;
+  /// A copy of the peer's state. O(state); no effect on the peer.
+  Image CaptureImage() const { return state_; }
 
-  /// Replaces the peer's mutable state with `image`, rebuilding every
-  /// derived index. Restoring a capture of the same peer is exact: rounds,
+  /// Replaces the peer's state with `image` and rebuilds every derived
+  /// index. Restoring a capture of the same peer is exact: rounds,
   /// bundles, probes and queries behave bitwise-identically to the peer
   /// that was captured.
-  void RestoreImage(const Image& image);
-
-  /// Restores from a capture, moving the bulk arrays instead of copying.
-  void RestoreImage(Image&& image);
+  void RestoreImage(Image image);
 
  private:
-  /// Index of `var` in `vars_`, creating the entry on first sight.
+  /// Index of `var` in `state_.vars`, creating the entry on first sight.
   uint32_t InternVar(const MappingVarKey& var);
   const VarState* FindVar(const MappingVarKey& var) const;
 
@@ -427,14 +450,15 @@ class Peer {
   Status ValidateFactorContent(const FactorId& id, const Closure& closure,
                                const AttributeFeedback& feedback) const;
 
-  /// Registers replica `r` with the per-recipient belief routing tables,
-  /// negotiating a session alias per (recipient, factor) on the way.
-  void AddReplicaToRoutes(uint32_t r);
+  /// Records replica `r`'s owned slots on their variables and registers
+  /// it with the per-recipient belief routing tables, assigning a session
+  /// alias per (recipient, factor) on the way.
+  void RegisterReplica(uint32_t r);
 
   /// The replica's member scope, as a view into the member pool.
   std::span<const MappingVarKey> Members(uint32_t r) const {
-    const ReplicaHot& hot = replica_hot_[r];
-    return {member_pool_.data() + hot.msg_base, hot.member_count};
+    const ReplicaHot& hot = state_.replica_hot[r];
+    return {state_.member_pool.data() + hot.msg_base, hot.member_count};
   }
 
   /// Writes `belief` into the var->factor slot (replica `r`, `position`)
@@ -498,86 +522,36 @@ class Peer {
   const EngineOptions* options_;
   DocumentStore store_;
 
-  /// Outgoing mappings, flat and sorted by EdgeId (few per peer; binary
-  /// search beats a node-based map and iteration stays in EdgeId order,
-  /// which probe/query forwarding depends on for determinism).
-  std::vector<std::pair<EdgeId, SchemaMapping>> mappings_;
+  /// Every durable field (see `Image`).
+  Image state_;
 
-  /// Dense replica store + identity-hashed index by factor fingerprint.
-  /// Insertion order is announcement arrival order (deterministic under
-  /// the engine's serial message dispatch).
-  std::vector<Replica> replicas_;
+  // Indexes derived from `state_`, rebuilt by `RebuildIndexes`.
+
+  /// Replica index by factor fingerprint (identity-hashed).
   std::unordered_map<FactorId, uint32_t, FactorIdHash> replica_index_;
-  /// Flat hot state parallel to `replicas_` (see `ReplicaHot`).
-  std::vector<ReplicaHot> replica_hot_;
-
-  /// SoA message pools, indexed by replica msg_base + member position:
-  /// last µ_{member -> factor} per member (unit until heard otherwise),
-  /// and µ_{factor -> member}, maintained for *owned* members.
-  std::vector<Belief> var_to_factor_pool_;
-  std::vector<Belief> factor_to_var_pool_;
-  /// Member scope + member owners, sharing the message pools' slots.
-  std::vector<MappingVarKey> member_pool_;
-  std::vector<PeerId> member_owner_pool_;
-  /// Owned member positions (ascending per replica), at owned_base.
-  std::vector<uint32_t> owned_pos_pool_;
-  /// Per-slot guard history, sharing the message pools' slots; sized only
-  /// while `options_->byzantine_guard.enabled` (empty otherwise, so the
-  /// guard-off footprint is unchanged).
-  std::vector<GuardSlot> guard_slot_pool_;
-  /// Completed `ComputeRound` calls — the guard's same-round clock and
-  /// the Byzantine chaos layer's draw key. Always maintained (one
-  /// increment per round; no behavioral effect while guard and chaos are
-  /// off).
-  uint64_t round_ = 0;
-
-  /// Per-recipient outgoing-belief routes, ascending by recipient; built
-  /// incrementally at ingest, rebuilt on mapping removal.
-  std::vector<BeliefRoute> belief_routes_;
-
-  /// One neighbor's alias state: the wire session (both directions) plus
-  /// a receive-side alias -> replica-index cache, so steady-state
-  /// absorption is a single 4-byte load per group instead of a
-  /// fingerprint hash lookup per update.
-  struct PeerLink {
-    AliasLink session;
-    std::vector<uint32_t> replica_of_alias;
-    /// Transmit-side precision tier under a value error budget: 0 coarse,
-    /// 1 mid, 2 fine. Stepped up — never down — at the end of
-    /// `ComputeRound` from the peer's residual, so a link's precision
-    /// trajectory is monotone and a peer restored from a snapshot
-    /// continues it identically. Unused when quantization is off.
-    uint8_t value_rank = 0;
-    /// Byzantine-guard record (EngineOptions::byzantine_guard); untouched
-    /// — and all zero — while the guard is disabled.
-    GuardLinkState guard;
-  };
-
-  /// Alias sessions, one per neighbor: dense storage indexed through
-  /// `alias_link_index_` and `BeliefRoute::link`, so the round path does
-  /// one lookup per bundle. The index is a flat sorted array — a peer has
-  /// few belief neighbors, so binary search touches one cache line where
-  /// a hash map chases nodes. Cleared and renegotiated under a bumped
-  /// epoch on `RemoveMapping` (the engine removes mappings network-wide,
-  /// so both endpoints of every session bump in lockstep).
-  std::vector<PeerLink> alias_links_;
-  std::vector<std::pair<PeerId, uint32_t>> alias_link_index_;
-  uint32_t alias_epoch_ = 0;
-
-  /// Index of the alias link for `peer`, creating it on first sight.
-  uint32_t InternAliasLink(PeerId peer);
-
-  /// Dense per-variable state + hashed index by packed (edge, attribute).
-  std::vector<VarState> vars_;
+  /// Variable index by packed (edge, attribute).
   std::unordered_map<uint64_t, uint32_t> var_index_;
-  /// Indexes of `vars_` entries per mapping edge, ascending (lazy-schedule
-  /// piggybacking looks variables up by edge, not by full key).
+  /// Indexes of `state_.vars` entries per mapping edge, ascending
+  /// (lazy-schedule piggybacking looks variables up by edge, not by full
+  /// key).
   std::unordered_map<EdgeId, std::vector<uint32_t>> edge_vars_;
+  /// (peer, index into `state_.links`), ascending by peer — a peer has few
+  /// belief neighbors, so binary search touches one cache line where a
+  /// hash map chases nodes.
+  std::vector<std::pair<PeerId, uint32_t>> link_index_;
+
+  /// Rebuilds the replica, variable and link indexes from `state_` and
+  /// marks the round kernel stale.
+  void RebuildIndexes();
+
+  /// Index of the link for `peer`, creating it on first sight.
+  uint32_t InternLink(PeerId peer);
 
   /// Round kernel: the variable -> factor half of `ComputeRound` reads
   /// only these flat arrays, with no `var_index_` hash, `mapping()` search
-  /// or `replica_hot_` chase per variable. One entry per variable with at
-  /// least one slot, in `vars_` order (the residual's reduction order).
+  /// or `replica_hot` chase per variable. One entry per variable with at
+  /// least one slot, in `state_.vars` order (the residual's reduction
+  /// order).
   /// Derived state, never captured: every mutation of slots, mappings or
   /// priors (`IngestFactor`, `AddMapping`/`RemoveMapping`, `SetPrior`,
   /// `UpdatePriorsFromPosteriors`, `RestoreImage`) marks it stale, and the
@@ -585,7 +559,7 @@ class Peer {
   struct KernelVar {
     /// Resolved prior P(correct): explicit, else the default prior.
     double prior = 0.5;
-    /// Index into `vars_`.
+    /// Index into `state_.vars`.
     uint32_t var = 0;
     /// Number of slots; each entry's flat message-pool indexes follow the
     /// previous entry's in `kernel_slots_`.
@@ -608,10 +582,6 @@ class Peer {
   /// destination), reused across probes.
   std::vector<NodeId> route_scratch_;
 
-  /// Closures this peer has already announced (dedup).
-  std::unordered_set<FactorId, FactorIdHash> announced_;
-  /// Cached foreign probes per origin for parallel detection.
-  std::unordered_map<PeerId, std::vector<ProbeMessage>> probe_cache_;
   std::unordered_set<uint64_t> seen_queries_;
 };
 

@@ -65,12 +65,6 @@ std::string FactorId::ToString() const {
                    static_cast<unsigned long long>(lo));
 }
 
-uint32_t AliasSessionTx::Assign(const FactorId& id) {
-  const auto [it, inserted] = alias_of.emplace(id, next_alias);
-  if (inserted) ++next_alias;
-  return it->second;
-}
-
 Status AliasSessionRx::Bind(uint32_t alias, const FactorId& id) {
   if (alias >= kMaxAliasesPerSession) {
     return Status::OutOfRange(

@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -132,23 +131,17 @@ struct BeliefUpdate {
 /// forged traffic before they can grow the binding table.
 inline constexpr uint32_t kMaxAliasesPerSession = 1u << 20;
 
-/// Sender side of one directed belief session (this peer -> recipient).
+/// Sender side of one directed belief session (this peer -> recipient),
+/// mirroring `AliasSessionRx`: alias -> fingerprint, assigned densely in
+/// first-mention order, so the next free alias is `id_of.size()`.
 struct AliasSessionTx {
-  /// Alias assigned to each fingerprint first-mentioned on this link.
-  std::unordered_map<FactorId, uint32_t, FactorIdHash> alias_of;
-  uint32_t next_alias = 0;
+  std::vector<FactorId> id_of;
   /// Aliases below this are acknowledged by the recipient and are emitted
   /// bare; everything at or above keeps the full-fingerprint fallback.
   uint32_t acked_prefix = 0;
-
-  /// Returns the alias for `id`, assigning the next free one on first
-  /// sight (idempotent afterwards).
-  uint32_t Assign(const FactorId& id);
 };
 
 /// Receiver side of one directed belief session (sender -> this peer).
-/// Peers store one `AliasLink` (tx + rx) per neighbor so the round path
-/// resolves both directions with a single index lookup.
 struct AliasSessionRx {
   /// alias -> fingerprint; nil entries are holes (binding not yet seen).
   std::vector<FactorId> id_of;
@@ -163,14 +156,6 @@ struct AliasSessionRx {
 
   /// Resolves a bare alias; `NotFound` when no binding is recorded.
   Result<FactorId> Resolve(uint32_t alias) const;
-};
-
-/// Both directions of one peer-to-peer belief session: what we send them
-/// (`tx`) and what we have learned from them (`rx`, whose `known_prefix`
-/// is the ack we piggyback back). One hot-path lookup covers both.
-struct AliasLink {
-  AliasSessionTx tx;
-  AliasSessionRx rx;
 };
 
 /// A TTL-bounded probe sent out to discover cycles and parallel paths

@@ -150,13 +150,13 @@ void Fields(IO& io, RecordOf<Peer::BeliefRoute> auto& route) {
 }
 
 template <typename IO>
-void Fields(IO& io, RecordOf<Peer::LinkImage> auto& link) {
+void Fields(IO& io, RecordOf<Peer::Link> auto& link) {
   const auto each = [&](auto& record) { Fields(io, record); };
   io.Fixed32(link.peer);
-  io.List(link.tx_id_by_alias, 16, each);
-  io.Fixed32(link.tx_acked_prefix);
-  io.List(link.rx_id_of, 16, each);
-  io.Fixed32(link.rx_known_prefix);
+  io.List(link.tx.id_of, 16, each);
+  io.Fixed32(link.tx.acked_prefix);
+  io.List(link.rx.id_of, 16, each);
+  io.Fixed32(link.rx.known_prefix);
   io.List(link.replica_of_alias, 4, each);
   io.Ranged(link.value_rank, kValueRankCount - 1, "link value rank");
   auto& guard = link.guard;
@@ -243,10 +243,11 @@ void Fields(IO& io, RecordOf<CapturedFrame> auto& frame) {
   Fields(io, frame.envelope.payload);
 }
 
-/// The offsets `RestoreImage` copies and the next `ComputeRound` indexes
-/// the image's arrays with. The CRC only proves the bytes are the ones
-/// written, so an image whose offsets leave their arrays is refused here
-/// rather than read out of bounds later.
+/// The offsets `RestoreImage` moves in and the next `ComputeRound` indexes
+/// the image's arrays with, and the link identities its indexes are
+/// rebuilt from. The CRC only proves the bytes are the ones written, so an
+/// image whose offsets leave their arrays, or whose links split one
+/// neighbor, is refused here rather than misused later.
 Status CheckImageBounds(const Peer::Image& image) {
   const auto corrupt = [](const char* what) {
     return Status::DataLoss(StrFormat("peer image %s", what));
@@ -281,6 +282,9 @@ Status CheckImageBounds(const Peer::Image& image) {
     if (route.link >= image.links.size()) {
       return corrupt("belief route link beyond links");
     }
+    if (image.links[route.link].peer != route.to) {
+      return corrupt("belief route link of another peer");
+    }
     for (const auto& [replica, alias] : route.groups) {
       if (replica >= replicas) {
         return corrupt("belief route group beyond replicas");
@@ -295,12 +299,22 @@ Status CheckImageBounds(const Peer::Image& image) {
       }
     }
   }
-  for (const Peer::LinkImage& link : image.links) {
+  // The link-by-peer index is rebuilt from `Link::peer`: a neighbor on
+  // two links, or a route naming a link of another peer, would split one
+  // session over two records.
+  std::vector<PeerId> peers;
+  peers.reserve(image.links.size());
+  for (const Peer::Link& link : image.links) {
+    peers.push_back(link.peer);
     for (uint32_t replica : link.replica_of_alias) {
       if (replica >= replicas && replica != Peer::kNoReplica) {
         return corrupt("alias bound beyond replicas");
       }
     }
+  }
+  std::sort(peers.begin(), peers.end());
+  if (std::adjacent_find(peers.begin(), peers.end()) != peers.end()) {
+    return corrupt("links name one peer twice");
   }
   return Status::Ok();
 }

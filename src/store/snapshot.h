@@ -88,8 +88,10 @@ std::vector<uint8_t> EncodeSnapshot(const NodeSnapshot& snapshot);
 
 /// Parses and fully validates an encoded snapshot. Rejects bad magic,
 /// format versions it cannot read, truncated input, trailing garbage,
-/// payload CRC mismatches and peer images whose pool offsets or replica
-/// indexes leave their arrays with a descriptive `Status`.
+/// payload CRC mismatches, peer images whose pool offsets or replica
+/// indexes leave their arrays, and peer images with two links to one
+/// neighbor or a route over another neighbor's link, with a descriptive
+/// `Status`.
 Result<NodeSnapshot> DecodeSnapshot(std::span<const uint8_t> bytes);
 
 /// Double-buffered on-disk checkpoint store for one shard.

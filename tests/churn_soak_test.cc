@@ -119,9 +119,9 @@ Footprint Measure(const Pdms& pdms) {
     footprint.dims.push_back(image.owned_pos_pool.size());
     footprint.dims.push_back(image.belief_routes.size());
     footprint.dims.push_back(image.links.size());
-    for (const Peer::LinkImage& link : image.links) {
-      footprint.dims.push_back(link.tx_id_by_alias.size());
-      footprint.dims.push_back(link.rx_id_of.size());
+    for (const Peer::Link& link : image.links) {
+      footprint.dims.push_back(link.tx.id_of.size());
+      footprint.dims.push_back(link.rx.id_of.size());
       footprint.dims.push_back(link.replica_of_alias.size());
     }
     footprint.dims.push_back(image.guard_slot_pool.size());

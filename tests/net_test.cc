@@ -125,14 +125,6 @@ TEST(VarintTest, WireSizeGrowsEverySevenBits) {
   EXPECT_EQ(PayloadWireBreakdown(Payload{feedback}).bytes, split_zero + 9);
 }
 
-TEST(AliasSessionTest, TxAssignsDenselyAndIdempotently) {
-  AliasSessionTx tx;
-  EXPECT_EQ(tx.Assign(FactorId{1, 1}), 0u);
-  EXPECT_EQ(tx.Assign(FactorId{2, 2}), 1u);
-  EXPECT_EQ(tx.Assign(FactorId{1, 1}), 0u);  // first mention wins
-  EXPECT_EQ(tx.next_alias, 2u);
-}
-
 TEST(AliasSessionTest, RxBindingsAdvanceContiguousPrefixOverHoles) {
   AliasSessionRx rx;
   EXPECT_TRUE(rx.Bind(0, FactorId{1, 1}).ok());

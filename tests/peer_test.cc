@@ -9,6 +9,7 @@
 #include "graph/topology.h"
 #include "mapping/mapping_generator.h"
 #include "net/codec.h"
+#include "store/snapshot.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -199,6 +200,64 @@ BeliefMessage BundleFromTo(Peer& from, PeerId to) {
   return BeliefMessage{};
 }
 
+/// The bits of `x`, so equality below is bitwise (and NaN-safe).
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The snapshot encoding of `image` as the only peer of a node snapshot.
+std::vector<uint8_t> SnapshotBytes(Peer::Image image) {
+  NodeSnapshot snapshot;
+  snapshot.engine.peers.push_back(std::move(image));
+  return EncodeSnapshot(snapshot);
+}
+
+/// Every attribute variable of mapping `edge`.
+std::vector<MappingVarKey> VarsOf(EdgeId edge) {
+  std::vector<MappingVarKey> vars;
+  for (AttributeId a = 0; a < kAttrs; ++a) vars.push_back({edge, a});
+  return vars;
+}
+
+/// Two rounds on `peer` against a fresh peer restored from its capture —
+/// whose round kernel is necessarily built from scratch — must agree
+/// bitwise on the residual, the posteriors, every outgoing value and, at
+/// the end, the snapshot bytes of both peers.
+void ExpectRoundsMatchFreshPeer(Peer& peer, const Digraph& graph,
+                                const EngineOptions& options,
+                                const std::vector<MappingVarKey>& vars) {
+  const Peer::Image captured = peer.CaptureImage();
+  Peer fresh(peer.id(), peer.schema(), &graph, &options);
+  fresh.RestoreImage(captured);
+  // Capture is idempotent: capture -> restore -> capture encodes to the
+  // same snapshot bytes.
+  EXPECT_EQ(SnapshotBytes(captured), SnapshotBytes(fresh.CaptureImage()));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(Bits(peer.ComputeRound()), Bits(fresh.ComputeRound()));
+    for (const MappingVarKey& var : vars) {
+      EXPECT_EQ(Bits(peer.Posterior(var)), Bits(fresh.Posterior(var)))
+          << var.ToString();
+    }
+    const std::vector<Outgoing> sent = peer.CollectOutgoingBeliefs();
+    const std::vector<Outgoing> expected = fresh.CollectOutgoingBeliefs();
+    ASSERT_EQ(sent.size(), expected.size());
+    for (size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(sent[i].to, expected[i].to);
+      const auto& got = std::get<BeliefMessage>(sent[i].payload);
+      const auto& want = std::get<BeliefMessage>(expected[i].payload);
+      ASSERT_EQ(got.entries.size(), want.entries.size());
+      for (size_t j = 0; j < got.entries.size(); ++j) {
+        EXPECT_EQ(got.entries[j].position, want.entries[j].position);
+        EXPECT_EQ(Bits(got.entries[j].belief.correct),
+                  Bits(want.entries[j].belief.correct));
+        EXPECT_EQ(Bits(got.entries[j].belief.incorrect),
+                  Bits(want.entries[j].belief.incorrect));
+      }
+    }
+  }
+  EXPECT_EQ(SnapshotBytes(peer.CaptureImage()),
+            SnapshotBytes(fresh.CaptureImage()));
+}
+
 TEST_F(PeerTest, AliasNegotiationReachesBareAliasesAfterAck) {
   peers_[0]->IngestFeedback(F1Announcement());
   peers_[1]->IngestFeedback(F1Announcement());
@@ -229,6 +288,7 @@ TEST_F(PeerTest, AliasNegotiationReachesBareAliasesAfterAck) {
 
   // The bare-alias bundle still routes to the right factor slot.
   ASSERT_TRUE(peers_[1]->AbsorbBeliefBundle(0, steady).ok());
+  ExpectRoundsMatchFreshPeer(*peers_[0], graph_, options_, VarsOf(edges_.m12));
 }
 
 TEST_F(PeerTest, FirstMentionDropRefallsBackToFullId) {
@@ -447,6 +507,7 @@ TEST_F(PeerTest, QuantizedLinksStepUpMonotonicallyToTheFineTier) {
     }
   }
   EXPECT_EQ(previous_bits, 13u);  // residual shrank: fine tier reached
+  ExpectRoundsMatchFreshPeer(*peers_[0], graph_, options_, VarsOf(edges_.m12));
 }
 
 TEST_F(PeerTest, RestoredPeerContinuesThePrecisionTrajectoryIdentically) {
@@ -681,9 +742,6 @@ TEST_F(PeerTest, HandleProbeRejectsMalformedProbesWithStatus) {
   expect_rejected(cycle, 0, "closed cycle with a short trail");
 }
 
-/// The bits of `x`, so equality below is bitwise (and NaN-safe).
-uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
-
 /// A cycle announcement over `edges` rooted at `source`, with feedback on
 /// every attribute (identity images, signs alternating by attribute).
 FeedbackAnnouncement CycleAnnouncement(const std::vector<EdgeId>& edges,
@@ -704,40 +762,6 @@ FeedbackAnnouncement CycleAnnouncement(const std::vector<EdgeId>& edges,
     announcement.feedback.push_back(feedback);
   }
   return announcement;
-}
-
-/// Two rounds on `peer` against a fresh peer restored from its capture —
-/// whose round kernel is necessarily built from scratch — must agree
-/// bitwise on the residual, the posteriors and every outgoing value.
-void ExpectRoundsMatchFreshPeer(Peer& peer, const Digraph& graph,
-                                const EngineOptions& options,
-                                const std::vector<MappingVarKey>& vars) {
-  Peer fresh(peer.id(), peer.schema(), &graph, &options);
-  fresh.RestoreImage(peer.CaptureImage());
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(round);
-    EXPECT_EQ(Bits(peer.ComputeRound()), Bits(fresh.ComputeRound()));
-    for (const MappingVarKey& var : vars) {
-      EXPECT_EQ(Bits(peer.Posterior(var)), Bits(fresh.Posterior(var)))
-          << var.ToString();
-    }
-    const std::vector<Outgoing> sent = peer.CollectOutgoingBeliefs();
-    const std::vector<Outgoing> expected = fresh.CollectOutgoingBeliefs();
-    ASSERT_EQ(sent.size(), expected.size());
-    for (size_t i = 0; i < sent.size(); ++i) {
-      EXPECT_EQ(sent[i].to, expected[i].to);
-      const auto& got = std::get<BeliefMessage>(sent[i].payload);
-      const auto& want = std::get<BeliefMessage>(expected[i].payload);
-      ASSERT_EQ(got.entries.size(), want.entries.size());
-      for (size_t j = 0; j < got.entries.size(); ++j) {
-        EXPECT_EQ(got.entries[j].position, want.entries[j].position);
-        EXPECT_EQ(Bits(got.entries[j].belief.correct),
-                  Bits(want.entries[j].belief.correct));
-        EXPECT_EQ(Bits(got.entries[j].belief.incorrect),
-                  Bits(want.entries[j].belief.incorrect));
-      }
-    }
-  }
 }
 
 TEST_F(PeerTest, RoundKernelTracksEveryMutationOfSlotsMappingsAndPriors) {
@@ -807,6 +831,67 @@ TEST_F(PeerTest, RoundKernelTracksEveryMutationOfSlotsMappingsAndPriors) {
     SCOPED_TRACE("RestoreImage");
     peer.RestoreImage(earlier);
     ExpectRoundsMatchFreshPeer(peer, graph_, options_, vars);
+  }
+}
+
+/// What a transmit alias map would guarantee, checked on the image: every
+/// link's `tx.id_of` holds no nil and no duplicate id, each route group's
+/// alias names its own replica's id, and no alias is assigned outside a
+/// route group.
+void ExpectTxAliasesNameTheirRouteReplicas(const Peer& peer) {
+  const Peer::Image image = peer.CaptureImage();
+  size_t aliases = 0;
+  for (const Peer::Link& link : image.links) {
+    std::vector<FactorId> ids = link.tx.id_of;
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), FactorId{}), 0)
+        << "link to " << link.peer;
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+        << "link to " << link.peer;
+    aliases += ids.size();
+  }
+  size_t groups = 0;
+  for (const Peer::BeliefRoute& route : image.belief_routes) {
+    ASSERT_LT(route.link, image.links.size());
+    const Peer::Link& link = image.links[route.link];
+    EXPECT_EQ(link.peer, route.to);
+    for (const auto& [replica, alias] : route.groups) {
+      ASSERT_LT(alias, link.tx.id_of.size());
+      EXPECT_EQ(link.tx.id_of[alias], image.replicas[replica].id);
+    }
+    groups += route.groups.size();
+  }
+  EXPECT_EQ(aliases, groups);
+}
+
+TEST_F(PeerTest, TxAliasesStayDenseUniqueAndBoundToTheirReplica) {
+  // p2 owns m23 (f1) and m24 (f2); both cycles route to p1 and p4, so
+  // those links carry the aliases of eight replicas each.
+  Peer& peer = *peers_[1];
+  const std::vector<EdgeId> f1 = {edges_.m12, edges_.m23, edges_.m34,
+                                  edges_.m41};
+  const std::vector<EdgeId> f2 = {edges_.m12, edges_.m24, edges_.m41};
+  ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f1, 0)).ok());
+  ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f2, 0)).ok());
+  // A re-announcement is a no-op: no factor gets a second alias.
+  ASSERT_TRUE(peer.IngestFeedback(CycleAnnouncement(f1, 0)).ok());
+  {
+    SCOPED_TRACE("ingest");
+    ExpectTxAliasesNameTheirRouteReplicas(peer);
+    EXPECT_EQ(peer.CaptureImage().links.size(), 3u);
+  }
+  {
+    SCOPED_TRACE("RemoveMapping");  // drops f1, bumps the epoch
+    peer.RemoveMapping(edges_.m23);
+    ExpectTxAliasesNameTheirRouteReplicas(peer);
+    EXPECT_EQ(peer.CaptureImage().alias_epoch, 1u);
+  }
+  {
+    SCOPED_TRACE("restore");  // aliases continue from the restored sessions
+    Peer restored(peer.id(), peer.schema(), &graph_, &options_);
+    restored.RestoreImage(peer.CaptureImage());
+    ASSERT_TRUE(restored.IngestFeedback(CycleAnnouncement(f1, 0)).ok());
+    ExpectTxAliasesNameTheirRouteReplicas(restored);
   }
 }
 
@@ -1109,6 +1194,7 @@ TEST_F(PeerTest, GuardDemotesOscillatingNeighborStickily) {
     peers_[0]->ComputeRound();
   }
   EXPECT_EQ(peers_[0]->guard_demoted_links(), 1u);
+  ExpectRoundsMatchFreshPeer(*peers_[0], graph_, options_, VarsOf(edges_.m12));
 }
 
 TEST_F(PeerTest, ChurnCannotParoleADemotedLink) {
@@ -1153,6 +1239,7 @@ TEST_F(PeerTest, ChurnCannotParoleADemotedLink) {
   EXPECT_EQ(after[0].peer, 3u);
   EXPECT_EQ(after[0].state, expected);
   EXPECT_EQ(peers_[0]->guard_demoted_links(), 1u);
+  ExpectRoundsMatchFreshPeer(*peers_[0], graph_, options_, VarsOf(edges_.m12));
 }
 
 TEST_F(PeerTest, GuardedCleanAbsorbMatchesUnguardedBitwise) {

@@ -518,6 +518,10 @@ TEST(SnapshotCodecTest, RejectsImagesWhoseOffsetsLeaveTheirArrays) {
          image.links[0].replica_of_alias[0] =
              static_cast<uint32_t>(image.replicas.size());
        }},
+      {"two links for one peer",
+       [](Peer::Image& image) { image.links.push_back(image.links[0]); }},
+      {"route over another peer's link",
+       [](Peer::Image& image) { image.belief_routes[0].to += 1; }},
   };
   for (const auto& [what, tamper] : tampers) {
     NodeSnapshot tampered = snapshot;
