@@ -81,9 +81,20 @@ struct EngineOptions {
   /// Forward queries through mappings that have no feedback evidence yet
   /// (standard-PDMS bootstrap behaviour; ⊥ attributes still block).
   bool forward_without_evidence = true;
-  /// TTL for closure-discovery probes (Section 3.2.1).
+  /// TTL for closure-discovery probes (Section 3.2.1). Together with
+  /// `closure_limits` it sets how many closures discovery announces; see
+  /// there for how the defaults scale.
   uint32_t probe_ttl = 6;
-  /// Structural limits honored during discovery.
+  /// Structural limits honored during discovery. The defaults
+  /// (`max_path_length` 6, `max_cycle_length` 8) suit small networks
+  /// only: the parallel-path closures over paths of 2-6 mappings grow
+  /// combinatorially with the network. On a 200-peer Erdős–Rényi network
+  /// with 763 mappings and 6 attributes (`probe_ttl` 4), one random draw
+  /// announced 196,307 factors under these defaults and another 294,390
+  /// (discovery 5 s, 1.6 GB), against 487 and 594 with `max_path_length`
+  /// 1. At 300 peers one run used more than 1.8 GB before it was stopped.
+  /// Larger deployments should bound `max_path_length` (the perfbench
+  /// workloads set it to 1, cycles only); nothing warns at run time.
   ClosureFinderOptions closure_limits;
   /// Cached foreign probes per (peer, origin) for parallel-path detection.
   size_t max_cached_probes = 128;

@@ -426,15 +426,25 @@ Result<Payload> DecodePayload(MessageKind kind,
 
 namespace {
 
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xedb88320:
+/// `entries[0]` is the classic byte table, and `entries[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, so one step folds eight input
+/// bytes with eight independent lookups.
 struct Crc32Table {
-  uint32_t entries[256];
+  uint32_t entries[8][256];
   constexpr Crc32Table() : entries{} {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
       }
-      entries[i] = crc;
+      entries[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xff];
+      }
     }
   }
 };
@@ -532,10 +542,20 @@ bool EmplaceFrame(uint8_t type, Frame* frame) {
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> data) {
+  const auto& t = kCrc32Table.entries;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   uint32_t crc = 0xffffffffu;
-  for (uint8_t byte : data) {
-    crc = (crc >> 8) ^ kCrc32Table.entries[(crc ^ byte) & 0xff];
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
+                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xff];
   return crc ^ 0xffffffffu;
 }
 

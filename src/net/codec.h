@@ -100,7 +100,7 @@ inline constexpr size_t kFrameHeaderBytes = 8;
 uint32_t Crc32(std::span<const uint8_t> data);
 
 enum class FrameType : uint8_t {
-  kData = 0,          ///< one Envelope-equivalent routed payload
+  kData = 0,          ///< one routed `Envelope`
   kHello = 1,         ///< connection handshake (shard identity + session)
   kMark = 2,          ///< per-tick / per-round barrier marker between shards
   kQueryRequest = 3,  ///< client -> node: run a θ-gated query
@@ -110,18 +110,8 @@ enum class FrameType : uint8_t {
   kRejoinAck = 7,     ///< survivor -> restarted shard: re-admission verdict
 };
 
-/// One routed payload on the wire. `seq` is a per-sender monotonically
-/// increasing counter: together with (deliver_at, from) it gives receivers
-/// a total order that reproduces the simulator's per-mailbox arrival order,
-/// which is what keeps posteriors bitwise-identical across transports.
-struct DataFrame {
-  PeerId from = 0;
-  PeerId to = 0;
-  std::optional<EdgeId> via;
-  uint64_t deliver_at = 0;
-  uint64_t seq = 0;
-  Payload payload;
-};
+/// One routed payload on the wire: the envelope itself, `seq` included.
+using DataFrame = Envelope;
 
 /// First frame on every inter-shard connection. `session_id` identifies
 /// the sending transport's lifetime (a restarted process presents a new

@@ -218,17 +218,11 @@ FaultInjectingTransport::FaultInjectingTransport(
 
 FaultInjectingTransport::~FaultInjectingTransport() = default;
 
-void FaultInjectingTransport::ForwardLocked(PeerId from, PeerId to,
-                                            std::optional<EdgeId> via,
-                                            Payload payload) {
-  inner_->Send(from, to, via, std::move(payload));
-}
-
 void FaultInjectingTransport::FlushReorderSlotLocked() {
   if (!reorder_slot_.has_value()) return;
   Held held = std::move(*reorder_slot_);
   reorder_slot_.reset();
-  ForwardLocked(held.from, held.to, held.via, std::move(held.payload));
+  inner_->Send(held.from, held.to, held.via, std::move(held.payload));
 }
 
 void FaultInjectingTransport::DropLocked(MessageKind kind) {
@@ -241,7 +235,7 @@ void FaultInjectingTransport::Send(PeerId from, PeerId to,
                                    Payload payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!plan_.Enabled()) {
-    ForwardLocked(from, to, via, std::move(payload));
+    inner_->Send(from, to, via, std::move(payload));
     return;
   }
   const uint64_t seq = event_seq_++;
@@ -295,11 +289,11 @@ void FaultInjectingTransport::Send(PeerId from, PeerId to,
   }
   if (decision.duplicate) {
     Payload copy = payload;
-    ForwardLocked(from, to, via, std::move(payload));
-    ForwardLocked(from, to, via, std::move(copy));
+    inner_->Send(from, to, via, std::move(payload));
+    inner_->Send(from, to, via, std::move(copy));
     ++fault_stats_.duplicated;
   } else {
-    ForwardLocked(from, to, via, std::move(payload));
+    inner_->Send(from, to, via, std::move(payload));
   }
   FlushReorderSlotLocked();
 }
@@ -314,7 +308,7 @@ void FaultInjectingTransport::AdvanceTick() {
     for (size_t i = 0; i < delayed_.size(); ++i) {
       if (--delayed_[i].release_in == 0) {
         Held held = std::move(delayed_[i]);
-        ForwardLocked(held.from, held.to, held.via, std::move(held.payload));
+        inner_->Send(held.from, held.to, held.via, std::move(held.payload));
       } else {
         if (kept != i) delayed_[kept] = std::move(delayed_[i]);
         ++kept;

@@ -220,9 +220,8 @@ class FaultInjectingTransport final : public Transport {
     uint64_t release_in = 0;  ///< ticks until forwarding
   };
 
-  /// Must hold `mutex_`.
-  void ForwardLocked(PeerId from, PeerId to, std::optional<EdgeId> via,
-                     Payload payload);
+  /// Must hold `mutex_`, like every forward to `inner_`: sends leave this
+  /// layer in the order its fault draws were made.
   void FlushReorderSlotLocked();
   void DropLocked(MessageKind kind);
 

@@ -366,13 +366,19 @@ constexpr size_t kMessageKindCount = 4;
 std::string_view MessageKindName(MessageKind kind);
 MessageKind KindOf(const Payload& payload);
 
-/// A payload in flight.
+/// A payload in flight: the unit every transport queues, a data frame
+/// carries on the wire (`DataFrame`) and a snapshot captures from an inbox.
 struct Envelope {
   PeerId from = 0;
   PeerId to = 0;
   /// The mapping link it traveled through (edge id), when applicable.
   std::optional<EdgeId> via;
   uint64_t deliver_at = 0;  ///< network tick of delivery
+  /// The sender's per-sender send number, stamped by `SocketTransport`
+  /// (0 elsewhere). With (deliver_at, from) it gives a receiver the total
+  /// order that reproduces the simulator's per-mailbox arrival order, which
+  /// keeps posteriors bitwise-identical across transports.
+  uint64_t seq = 0;
   Payload payload;
 };
 

@@ -251,15 +251,22 @@ Status SocketTransport::Initialize() {
     return Status::Internal(
         StrFormat("epoll/eventfd: %s", std::strerror(errno)));
   }
-  epoll_event event{};
-  event.events = EPOLLIN;
-  event.data.u64 = kListenTag;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event);
-  event.data.u64 = kWakeTag;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event);
+  Watch(EPOLL_CTL_ADD, listen_fd_, kListenTag, EPOLLIN);
+  Watch(EPOLL_CTL_ADD, wake_fd_, kWakeTag, EPOLLIN);
 
   loop_ = std::thread([this] { LoopMain(); });
   return Status::Ok();
+}
+
+template <typename Done>
+Result<bool> SocketTransport::AwaitLoop(int timeout_ms, Done done) {
+  std::unique_lock<std::mutex> lock(barrier_mutex_);
+  const bool held = barrier_cv_.wait_for(
+      lock, std::chrono::milliseconds(timeout_ms), [&] {
+        return loop_failed_.load(std::memory_order_acquire) || done();
+      });
+  if (loop_failed_.load(std::memory_order_acquire)) return loop_error();
+  return held;
 }
 
 void SocketTransport::Shutdown() {
@@ -271,14 +278,9 @@ void SocketTransport::Shutdown() {
   // full mark timeout instead of finishing. The loop thread keeps
   // retransmitting while we wait; peers ack at the transport layer, so the
   // drain does not depend on anyone consuming the frames upstream.
-  if (!loop_failed_.load(std::memory_order_acquire)) {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    barrier_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.shutdown_drain_ms), [this] {
-          return loop_failed_.load(std::memory_order_acquire) ||
-                 unacked_frames_.load(std::memory_order_acquire) == 0;
-        });
-  }
+  (void)AwaitLoop(options_.shutdown_drain_ms, [this] {
+    return unacked_frames_.load(std::memory_order_acquire) == 0;
+  });
   const uint64_t undrained = unacked_frames_.load(std::memory_order_acquire);
   if (undrained > 0) {
     counters_.frames_dropped_at_shutdown.fetch_add(undrained,
@@ -313,59 +315,39 @@ void SocketTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
   const WireBreakdown breakdown = PayloadWireBreakdown(payload);
   counters_.CountSent(kind, breakdown);
 
-  DataFrame frame;
-  frame.from = from;
-  frame.to = to;
-  frame.via = via;
-  frame.deliver_at = now() + options_.delay_ticks;
-  frame.seq = send_seq_[from].fetch_add(1, std::memory_order_relaxed);
-  frame.payload = std::move(payload);
+  Envelope envelope{
+      .from = from,
+      .to = to,
+      .via = via,
+      .deliver_at = now() + options_.delay_ticks,
+      .seq = send_seq_[from].fetch_add(1, std::memory_order_relaxed),
+      .payload = std::move(payload)};
 
   const uint32_t shard = shard_of(to);
   if (shard == options_.local_shard) {
     loopback_sent_.fetch_add(1, std::memory_order_release);
   }
   data_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  StageFrameOnLink(shard, Frame{std::move(frame)}, /*is_data=*/true);
+  StageFrameOnLink(shard, Frame{std::move(envelope)}, /*is_data=*/true);
   WakeLoop();
 }
 
 std::vector<Envelope> SocketTransport::Drain(PeerId peer) {
-  if (peer >= inboxes_.size()) return {};
-  const uint64_t current = now();
-  std::vector<Received> due;
-  {
-    Inbox& inbox = inboxes_[peer];
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    auto& queue = inbox.queue;
-    size_t kept = 0;
-    for (size_t i = 0; i < queue.size(); ++i) {
-      if (queue[i].deliver_at <= current) {
-        due.push_back(std::move(queue[i]));
-      } else {
-        if (kept != i) queue[kept] = std::move(queue[i]);
-        ++kept;
-      }
-    }
-    queue.resize(kept);
+  std::vector<Envelope> due;
+  DrainInto(peer, &due);
+  return due;
+}
+
+void SocketTransport::DrainInto(PeerId peer, std::vector<Envelope>* out) {
+  if (peer >= inboxes_.size()) {
+    out->clear();
+    return;
   }
-  if (due.empty()) return {};
-  inbox_count_.fetch_sub(due.size(), std::memory_order_release);
-  // The deterministic delivery order: ticks, then sender, then the
-  // sender's own sequence. Within one engine tick this reproduces the
-  // lossless simulator's mailbox order exactly (see class comment).
-  std::sort(due.begin(), due.end(), [](const Received& a, const Received& b) {
-    if (a.deliver_at != b.deliver_at) return a.deliver_at < b.deliver_at;
-    if (a.from != b.from) return a.from < b.from;
-    return a.seq < b.seq;
-  });
-  std::vector<Envelope> envelopes;
-  envelopes.reserve(due.size());
-  for (Received& received : due) {
-    counters_.CountDelivered(KindOf(received.envelope.payload));
-    envelopes.push_back(std::move(received.envelope));
-  }
-  return envelopes;
+  inboxes_.DrainInto(peer, now(), out, counters_);
+}
+
+PeerId SocketTransport::NextPeerWithMail(PeerId from) const {
+  return inboxes_.NextWithMail(from);
 }
 
 bool SocketTransport::BarrierSatisfied() const {
@@ -374,13 +356,10 @@ bool SocketTransport::BarrierSatisfied() const {
 }
 
 Status SocketTransport::AwaitLoopback() {
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  const bool quiesced = barrier_cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.barrier_timeout_ms), [this] {
-        return loop_failed_.load(std::memory_order_acquire) ||
-               BarrierSatisfied();
-      });
-  if (loop_failed_.load(std::memory_order_acquire)) return loop_error();
+  PDMS_ASSIGN_OR_RETURN(
+      const bool quiesced,
+      AwaitLoop(options_.barrier_timeout_ms,
+                [this] { return BarrierSatisfied(); }));
   if (!quiesced) {
     return Status::DeadlineExceeded(StrFormat(
         "tick barrier: %llu self-addressed frames undelivered after %dms",
@@ -417,7 +396,7 @@ Status SocketTransport::barrier_status() const {
 }
 
 bool SocketTransport::HasPendingMessages() const {
-  return inbox_count_.load(std::memory_order_acquire) > 0 ||
+  return inboxes_.NextWithMail(0) < inboxes_.size() ||
          outstanding_data_.load(std::memory_order_acquire) > 0 ||
          !BarrierSatisfied();
 }
@@ -452,10 +431,9 @@ Status SocketTransport::ConnectAll() {
     link->dial_requested.store(true, std::memory_order_release);
   }
   WakeLoop();
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  const bool connected = barrier_cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.connect_timeout_ms), [this] {
-        if (loop_failed_.load(std::memory_order_acquire)) return true;
+  PDMS_ASSIGN_OR_RETURN(
+      const bool connected,
+      AwaitLoop(options_.connect_timeout_ms, [this] {
         for (const auto& link : links_) {
           if (!link->connected.load(std::memory_order_acquire) &&
               !link->abandoned.load(std::memory_order_acquire)) {
@@ -463,8 +441,7 @@ Status SocketTransport::ConnectAll() {
           }
         }
         return true;
-      });
-  if (loop_failed_.load(std::memory_order_acquire)) return loop_error();
+      }));
   if (!connected) {
     return Status::Unavailable(
         StrFormat("not all shards reachable within %dms",
@@ -519,15 +496,9 @@ Status SocketTransport::ReadmitShard(uint32_t shard, std::string address) {
   // Block until the loop lifts the quarantine: frames staged to a shard
   // whose `abandoned` flag is still set are silently dropped, and callers
   // stage the re-admission handshake right after this returns.
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  const bool cleared = barrier_cv_.wait_for(
-      lock, std::chrono::milliseconds(5000), [this, &link] {
-        return loop_failed_.load(std::memory_order_acquire) ||
-               !link.abandoned.load(std::memory_order_acquire);
-      });
-  if (loop_failed_.load(std::memory_order_acquire)) {
-    return loop_error();
-  }
+  PDMS_ASSIGN_OR_RETURN(const bool cleared, AwaitLoop(5000, [&link] {
+    return !link.abandoned.load(std::memory_order_acquire);
+  }));
   if (!cleared) {
     return Status::DeadlineExceeded(
         StrFormat("event loop did not readmit shard %u in time", shard));
@@ -535,51 +506,18 @@ Status SocketTransport::ReadmitShard(uint32_t shard, std::string address) {
   return Status::Ok();
 }
 
-std::vector<CapturedFrame> SocketTransport::CaptureInboxes() {
-  std::vector<CapturedFrame> frames;
-  for (Inbox& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    for (const Received& received : inbox.queue) {
-      CapturedFrame frame;
-      frame.seq = received.seq;
-      frame.envelope = received.envelope;
-      frames.push_back(std::move(frame));
-    }
-  }
-  return frames;
+std::vector<Envelope> SocketTransport::CaptureInboxes() {
+  return inboxes_.Capture();
 }
 
-Status SocketTransport::RestoreInboxes(std::vector<CapturedFrame> frames) {
-  for (const CapturedFrame& frame : frames) {
-    if (frame.envelope.to >= inboxes_.size()) {
-      return Status::OutOfRange(
-          StrFormat("captured frame addressed to unknown peer %u",
-                    frame.envelope.to));
+Status SocketTransport::RestoreInboxes(std::vector<Envelope> frames) {
+  for (const Envelope& frame : frames) {
+    if (frame.to >= inboxes_.size()) {
+      return Status::OutOfRange(StrFormat(
+          "captured frame addressed to unknown peer %u", frame.to));
     }
   }
-  uint64_t discarded = 0;
-  for (Inbox& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    discarded += inbox.queue.size();
-    inbox.queue.clear();
-  }
-  const uint64_t restored = frames.size();
-  for (CapturedFrame& frame : frames) {
-    Received received;
-    received.deliver_at = frame.envelope.deliver_at;
-    received.from = frame.envelope.from;
-    received.seq = frame.seq;
-    const PeerId to = frame.envelope.to;
-    received.envelope = std::move(frame.envelope);
-    Inbox& inbox = inboxes_[to];
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    inbox.queue.push_back(std::move(received));
-  }
-  if (restored >= discarded) {
-    inbox_count_.fetch_add(restored - discarded, std::memory_order_release);
-  } else {
-    inbox_count_.fetch_sub(discarded - restored, std::memory_order_release);
-  }
+  inboxes_.Replace(std::move(frames));
   NotifyBarrier();
   return Status::Ok();
 }
@@ -640,6 +578,13 @@ void SocketTransport::StageFrameOnLink(uint32_t shard, const Frame& frame,
   }
   unacked_frames_.fetch_add(1, std::memory_order_release);
   link.pending.push_back(std::move(entry));
+}
+
+void SocketTransport::Watch(int op, int fd, uint64_t tag, uint32_t events) {
+  epoll_event event{};
+  event.events = events;
+  event.data.u64 = tag;
+  epoll_ctl(epoll_fd_, op, fd, &event);
 }
 
 void SocketTransport::WakeLoop() {
@@ -778,10 +723,7 @@ void SocketTransport::LoopStartDials() {
     if (rc == 0 || errno == EINPROGRESS) {
       link.fd = fd;
       link.connect_in_progress = true;
-      epoll_event event{};
-      event.events = EPOLLIN | EPOLLOUT;
-      event.data.u64 = link.conn_id;
-      epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
+      Watch(EPOLL_CTL_ADD, fd, link.conn_id, EPOLLIN | EPOLLOUT);
     } else {
       close(fd);
       link.next_attempt = now_time + std::chrono::milliseconds(100);
@@ -804,30 +746,18 @@ void SocketTransport::LoopCheckRetransmitTimers() {
 void SocketTransport::LoopPurgeAbandoned(Link& link) {
   uint64_t data_dropped = 0;
   uint64_t total_dropped = 0;
-  const bool counted = link.shard != options_.local_shard;
-  if (link.fd >= 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, link.fd, nullptr);
-    close(link.fd);
-    link.fd = -1;
-  }
-  link.connect_in_progress = false;
-  link.awaiting_ack = false;
-  link.kill_after_flush = false;
-  link.connected.store(false, std::memory_order_release);
-  for (const TxEntry& entry : link.ring) {
-    if (entry.is_data && counted) ++data_dropped;
-    ++total_dropped;
-  }
-  link.ring.clear();
-  link.out.clear();
-  link.out_offset = 0;
-  {
-    std::lock_guard<std::mutex> lock(link.mutex);
-    for (const TxEntry& entry : link.pending) {
-      if (entry.is_data && counted) ++data_dropped;
+  const auto drop = [&](auto& entries) {
+    for (const TxEntry& entry : entries) {
+      if (entry.is_data && link.shard != options_.local_shard) ++data_dropped;
       ++total_dropped;
     }
-    link.pending.clear();
+    entries.clear();
+  };
+  LoopDisconnectLink(link);
+  drop(link.ring);
+  {
+    std::lock_guard<std::mutex> lock(link.mutex);
+    drop(link.pending);
     // The purged sequences are gone for good. Advance the resume cursor
     // past them so the hello after a readmission announces where traffic
     // actually restarts, instead of a base the receiver would wait on
@@ -845,19 +775,27 @@ void SocketTransport::LoopPurgeAbandoned(Link& link) {
   }
 }
 
-void SocketTransport::LoopScheduleReconnect(Link& link, const char* reason) {
-  if (link.fd >= 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, link.fd, nullptr);
-    close(link.fd);
-    link.fd = -1;
+void SocketTransport::LoopCloseStream(ByteStream& stream) {
+  if (stream.fd >= 0) {
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, stream.fd, nullptr);
+    close(stream.fd);
+    stream.fd = -1;
   }
+  stream.assembler = FrameAssembler();
+  stream.out.clear();
+  stream.out_offset = 0;
+}
+
+void SocketTransport::LoopDisconnectLink(Link& link) {
+  LoopCloseStream(link);
   link.connect_in_progress = false;
   link.awaiting_ack = false;
   link.kill_after_flush = false;
   link.connected.store(false, std::memory_order_release);
-  link.out.clear();
-  link.out_offset = 0;
-  link.assembler = FrameAssembler();
+}
+
+void SocketTransport::LoopScheduleReconnect(Link& link, const char* reason) {
+  LoopDisconnectLink(link);
   // Rewind to the ring base: everything unacked goes out again after the
   // next handshake; the receiver's cursor discards what it already has.
   if (!link.ring.empty()) link.cursor_seq = link.ring.front().seq;
@@ -899,32 +837,60 @@ void SocketTransport::LoopFlushLink(Link& link) {
   }
   if (link.fd < 0 || link.connect_in_progress) return;
   if (!link.awaiting_ack) LoopPullRingIntoOut(link);
-  while (link.out_offset < link.out.size()) {
-    const ssize_t n =
-        ::send(link.fd, link.out.data() + link.out_offset,
-               link.out.size() - link.out_offset, MSG_NOSIGNAL);
+  if (!LoopFlushStream(link)) {
+    LoopScheduleReconnect(link, std::strerror(errno));
+  } else if (link.kill_after_flush && link.out.empty()) {
+    link.kill_after_flush = false;
+    LoopScheduleReconnect(link, "injected link kill");
+  }
+}
+
+bool SocketTransport::LoopReadStream(ByteStream& stream) {
+  uint8_t buffer[65536];
+  for (;;) {
+    const ssize_t n = recv(stream.fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
-      link.out_offset += static_cast<size_t>(n);
+      stream.assembler.Feed(std::span<const uint8_t>(buffer, n));
+      continue;
+    }
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
+bool SocketTransport::LoopFlushStream(ByteStream& stream) {
+  while (stream.out_offset < stream.out.size()) {
+    const ssize_t n =
+        ::send(stream.fd, stream.out.data() + stream.out_offset,
+               stream.out.size() - stream.out_offset, MSG_NOSIGNAL);
+    if (n > 0) {
+      stream.out_offset += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    LoopScheduleReconnect(link, std::strerror(errno));
-    return;
+    return false;
   }
-  const bool backlogged = link.out_offset < link.out.size();
+  const bool backlogged = stream.out_offset < stream.out.size();
   if (!backlogged) {
-    link.out.clear();
-    link.out_offset = 0;
-    if (link.kill_after_flush) {
-      link.kill_after_flush = false;
-      LoopScheduleReconnect(link, "injected link kill");
-      return;
-    }
+    stream.out.clear();
+    stream.out_offset = 0;
   }
-  epoll_event event{};
-  event.events = EPOLLIN | (backlogged ? EPOLLOUT : 0u);
-  event.data.u64 = link.conn_id;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, link.fd, &event);
+  Watch(EPOLL_CTL_MOD, stream.fd, stream.conn_id,
+        EPOLLIN | (backlogged ? EPOLLOUT : 0u));
+  return true;
+}
+
+void SocketTransport::LoopArmProgressDeadline(Link& link) {
+  link.progress_deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(options_.retransmit_timeout_ms);
+}
+
+void SocketTransport::LoopAppendSessionFrame(ByteStream& stream,
+                                             const Frame& frame) {
+  const size_t before = stream.out.size();
+  EncodeFrame(frame, &stream.out);
+  frame_bytes_sent_.fetch_add(stream.out.size() - before,
+                              std::memory_order_relaxed);
 }
 
 void SocketTransport::LoopPullRingIntoOut(Link& link) {
@@ -995,11 +961,7 @@ void SocketTransport::LoopPullRingIntoOut(Link& link) {
     append(entry.bytes);
     link.cursor_seq += 1;
   }
-  if (advanced) {
-    link.progress_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.retransmit_timeout_ms);
-  }
+  if (advanced) LoopArmProgressDeadline(link);
 }
 
 void SocketTransport::LoopHandleLinkEvent(Link& link, uint32_t events) {
@@ -1022,15 +984,9 @@ void SocketTransport::LoopHandleLinkEvent(Link& link, uint32_t events) {
     hello.session_id = session_id_;
     hello.next_seq =
         link.ring.empty() ? link.cursor_seq : link.ring.front().seq;
-    std::vector<uint8_t> bytes;
-    EncodeFrame(Frame{hello}, /*link_seq=*/0, &bytes);
-    frame_bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
-    link.out.assign(bytes.begin(), bytes.end());
-    link.out_offset = 0;
+    LoopAppendSessionFrame(link, Frame{hello});
     link.awaiting_ack = true;
-    link.progress_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.retransmit_timeout_ms);
+    LoopArmProgressDeadline(link);
     LoopFlushLink(link);
     return;
   }
@@ -1039,14 +995,7 @@ void SocketTransport::LoopHandleLinkEvent(Link& link, uint32_t events) {
     return;
   }
   if (events & EPOLLIN) {
-    uint8_t buffer[65536];
-    for (;;) {
-      const ssize_t n = recv(link.fd, buffer, sizeof(buffer), 0);
-      if (n > 0) {
-        link.assembler.Feed(std::span<const uint8_t>(buffer, n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (!LoopReadStream(link)) {
       LoopScheduleReconnect(link, "link closed");
       return;
     }
@@ -1097,11 +1046,7 @@ void SocketTransport::LoopHandleAck(Link& link, const LinkAckFrame& ack) {
     link.connected.store(true, std::memory_order_release);
     progressed = true;
   }
-  if (progressed) {
-    link.progress_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.retransmit_timeout_ms);
-  }
+  if (progressed) LoopArmProgressDeadline(link);
   if (trimmed_data > 0) {
     outstanding_data_.fetch_sub(trimmed_data, std::memory_order_release);
   }
@@ -1121,10 +1066,7 @@ void SocketTransport::LoopHandleListen() {
     connection->fd = fd;
     connection->conn_id = next_conn_id_.fetch_add(1);
     connection->remote_shard = shard_count();  // unknown until hello
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = connection->conn_id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
+    Watch(EPOLL_CTL_ADD, fd, connection->conn_id, EPOLLIN);
     connections_.push_back(std::move(connection));
   }
 }
@@ -1162,10 +1104,7 @@ void SocketTransport::LoopStageAck(Connection& connection) {
   ack.shard = options_.local_shard;
   ack.session_id = rx_session_[shard];
   ack.next_expected = rx_next_expected_[shard];
-  std::vector<uint8_t> bytes;
-  EncodeFrame(Frame{ack}, /*link_seq=*/0, &bytes);
-  frame_bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  connection.out.insert(connection.out.end(), bytes.begin(), bytes.end());
+  LoopAppendSessionFrame(connection, Frame{ack});
   rx_acked_[shard] = rx_next_expected_[shard];
 }
 
@@ -1211,56 +1150,16 @@ bool SocketTransport::LoopDispatchSequenced(Connection& connection,
   return true;
 }
 
-void SocketTransport::LoopDeliverData(DataFrame data, uint32_t remote_shard) {
+void SocketTransport::LoopDeliverData(Envelope data, uint32_t remote_shard) {
   if (data.to >= options_.peer_count || !IsLocalPeer(data.to)) {
     PDMS_LOG_WARNING << "dropping data frame for non-local peer " << data.to;
     return;
   }
-  Received received;
-  received.deliver_at = data.deliver_at;
-  received.from = data.from;
-  received.seq = data.seq;
-  received.envelope.from = data.from;
-  received.envelope.to = data.to;
-  received.envelope.via = data.via;
-  received.envelope.deliver_at = data.deliver_at;
-  received.envelope.payload = std::move(data.payload);
-  {
-    Inbox& inbox = inboxes_[data.to];
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    inbox.queue.push_back(std::move(received));
-  }
-  inbox_count_.fetch_add(1, std::memory_order_release);
+  inboxes_.Insert(std::move(data));
   if (remote_shard == options_.local_shard) {
     loopback_received_.fetch_add(1, std::memory_order_release);
   }
   NotifyBarrier();
-}
-
-void SocketTransport::LoopFlushConnection(Connection& connection,
-                                          bool* close_connection) {
-  while (connection.out_offset < connection.out.size()) {
-    const ssize_t n = ::send(connection.fd,
-                             connection.out.data() + connection.out_offset,
-                             connection.out.size() - connection.out_offset,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      connection.out_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    *close_connection = true;
-    return;
-  }
-  const bool backlogged = connection.out_offset < connection.out.size();
-  if (!backlogged) {
-    connection.out.clear();
-    connection.out_offset = 0;
-  }
-  epoll_event event{};
-  event.events = EPOLLIN | (backlogged ? EPOLLOUT : 0u);
-  event.data.u64 = connection.conn_id;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, connection.fd, &event);
 }
 
 void SocketTransport::LoopHandleConnectionEvent(size_t index,
@@ -1270,17 +1169,8 @@ void SocketTransport::LoopHandleConnectionEvent(size_t index,
   if (events & (EPOLLERR | EPOLLHUP)) {
     close_connection = true;
   } else if (events & EPOLLIN) {
-    uint8_t buffer[65536];
-    for (;;) {
-      const ssize_t n = recv(connection.fd, buffer, sizeof(buffer), 0);
-      if (n > 0) {
-        connection.assembler.Feed(std::span<const uint8_t>(buffer, n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      close_connection = true;  // orderly close or error
-      break;
-    }
+    // An orderly close or error still lets the frames already read through.
+    close_connection = !LoopReadStream(connection);
     for (;;) {
       auto next = connection.assembler.Next();
       if (!next.ok()) {
@@ -1333,11 +1223,10 @@ void SocketTransport::LoopHandleConnectionEvent(size_t index,
   if (!close_connection &&
       ((events & EPOLLOUT) != 0 ||
        connection.out_offset < connection.out.size())) {
-    LoopFlushConnection(connection, &close_connection);
+    close_connection = !LoopFlushStream(connection);
   }
   if (close_connection) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, connection.fd, nullptr);
-    close(connection.fd);
+    LoopCloseStream(connection);
     connections_.erase(connections_.begin() + static_cast<long>(index));
     NotifyBarrier();
   }
@@ -1359,10 +1248,7 @@ void SocketTransport::LoopDrainControlOutbox() {
     }
     if (target == nullptr) continue;  // recipient hung up; best-effort lane
     target->out.insert(target->out.end(), bytes.begin(), bytes.end());
-    epoll_event event{};
-    event.events = EPOLLIN | EPOLLOUT;
-    event.data.u64 = target->conn_id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, target->fd, &event);
+    Watch(EPOLL_CTL_MOD, target->fd, target->conn_id, EPOLLIN | EPOLLOUT);
   }
 }
 

@@ -112,15 +112,20 @@ struct SocketTransportOptions {
 /// session (exactly-once delivery) and resets it for a restarted peer.
 ///
 /// Determinism: the engine's posteriors must be bitwise-identical no matter
-/// which transport carries the traffic. Two mechanisms provide that:
-///  * every send is stamped with a per-sender sequence number, and
-///  * `Drain` sorts deliverable envelopes by (deliver_at, from, seq).
-/// Within one tick the engine issues sends in ascending-peer order, so this
-/// sort key reproduces exactly the per-mailbox arrival order of the
-/// lossless simulator (per-sender order is program order; cross-sender
-/// order is ascending peer id) — see `tests/pdms_api_test.cc`'s
-/// SocketMatchesSimPosteriorsBitwise. The reliability layer preserves this
-/// under faults: retransmission is invisible above the frame layer.
+/// which transport carries the traffic. Every send is stamped with a
+/// per-sender sequence number (`Envelope::seq`), and each arriving frame is
+/// inserted into its recipient's inbox at its (deliver_at, from, seq)
+/// place, so the inbox is always kept in key order: a drain takes the due
+/// prefix and sorts nothing. Within one tick the engine issues sends in
+/// ascending-peer order, so this key reproduces exactly the per-mailbox
+/// arrival order of the lossless simulator (per-sender order is program
+/// order; cross-sender order is ascending peer id) — see
+/// `tests/pdms_api_test.cc`'s SocketMatchesSimPosteriorsBitwise. The inboxes
+/// are the simulator's own `Mailboxes` (pdms/transport.h), so the drain,
+/// the mail bits behind `NextPeerWithMail` and the delivered counting are
+/// shared code, and an inbox capture is in key order too. The reliability
+/// layer preserves this under faults: retransmission is invisible above
+/// the frame layer.
 ///
 /// Tick semantics: `AdvanceTick` is a loopback barrier — it waits until
 /// every self-addressed frame staged before the tick has come back through
@@ -152,6 +157,9 @@ class SocketTransport final : public Transport {
   void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
             Payload payload) override;
   std::vector<Envelope> Drain(PeerId peer) override;
+  void DrainInto(PeerId peer, std::vector<Envelope>* out) override;
+  /// Exact, from the inboxes' mail bits.
+  PeerId NextPeerWithMail(PeerId from) const override;
   bool HasPendingMessages() const override;
   const TransportStats& stats() const override;
   void ResetStats() override;
@@ -228,16 +236,18 @@ class SocketTransport final : public Transport {
   // --- Snapshot support (node layer) -------------------------------------------
 
   /// Copies every undrained inbox entry — the in-flight half of a
-  /// consistent cut. Driver-side: call only at a quiesced barrier (no
-  /// concurrent `Send`/`Drain`; the event loop may run, its deliveries
-  /// land before or after the whole capture, never mid-entry).
-  std::vector<CapturedFrame> CaptureInboxes();
+  /// consistent cut — in recipient order and then drain order, so one cut
+  /// always captures the same sequence. Driver-side: call only at a
+  /// quiesced barrier (no concurrent `Send`/`Drain`; the event loop may
+  /// run, its deliveries land before or after the whole capture, never
+  /// mid-entry).
+  std::vector<Envelope> CaptureInboxes();
 
-  /// Replaces all inbox contents with `frames` (routing each by
-  /// `envelope.to`), adjusting the pending-message accounting. Driver-side
-  /// at a quiesced barrier, same as `CaptureInboxes`; restoring a capture
-  /// taken at the same cut reproduces the exact drain schedule.
-  Status RestoreInboxes(std::vector<CapturedFrame> frames);
+  /// Replaces all inbox contents with `frames`, given in any order (each
+  /// routed by `to` into its drain-order place). Driver-side at a quiesced
+  /// barrier, same as `CaptureInboxes`; restoring a capture taken at the
+  /// same cut reproduces the exact drain schedule.
+  Status RestoreInboxes(std::vector<Envelope> frames);
 
   /// Forces the transport clock — a snapshot restore must resume at the
   /// captured tick or restored `deliver_at` stamps would sit in the
@@ -307,20 +317,6 @@ class SocketTransport final : public Transport {
   uint64_t session_id() const { return session_id_; }
 
  private:
-  /// One received data frame, held until its tick comes up. `seq` is the
-  /// per-sender stamp `Drain` sorts on.
-  struct Received {
-    uint64_t deliver_at = 0;
-    PeerId from = 0;
-    uint64_t seq = 0;
-    Envelope envelope;
-  };
-
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<Received> queue;
-  };
-
   /// One staged frame: pristine wire bytes plus its link sequence number.
   /// Lives in `pending` until the event loop adopts it into the ring, and
   /// in the ring until the peer's cumulative ack passes it.
@@ -331,10 +327,21 @@ class SocketTransport final : public Transport {
     std::vector<uint8_t> bytes;
   };
 
+  /// The event loop's side of one TCP connection: inbound bytes are
+  /// reassembled into frames, outbound bytes wait in `out` until the
+  /// socket takes them.
+  struct ByteStream {
+    int fd = -1;
+    uint64_t conn_id = 0;  ///< epoll tag
+    FrameAssembler assembler;
+    std::vector<uint8_t> out;
+    size_t out_offset = 0;  ///< bytes of `out` already sent
+  };
+
   /// Outbound link to one shard. `pending`/`tx_next_seq` are the
   /// cross-thread staging state (guarded by `mutex`); everything else
   /// belongs to the event loop.
-  struct Link {
+  struct Link : ByteStream {
     uint32_t shard = 0;  ///< destination shard of this link
     std::mutex mutex;
     std::vector<TxEntry> pending;
@@ -347,17 +354,12 @@ class SocketTransport final : public Transport {
     std::atomic<bool> readmit_requested{false};
 
     // Event-loop-owned state.
-    int fd = -1;
-    uint64_t conn_id = 0;
     bool connect_in_progress = false;
     bool awaiting_ack = false;  ///< hello sent, handshake ack outstanding
     bool ever_connected = false;
     bool kill_after_flush = false;  ///< injected link kill pending
     std::deque<TxEntry> ring;       ///< unacked frames, ascending seq
     uint64_t cursor_seq = 1;        ///< next seq to put on the wire
-    std::vector<uint8_t> out;
-    size_t out_offset = 0;
-    FrameAssembler assembler;
     int backoff_ms = 0;
     uint64_t redials = 0;  ///< jitter salt
     std::chrono::steady_clock::time_point next_attempt{};
@@ -367,12 +369,7 @@ class SocketTransport final : public Transport {
   };
 
   /// Accepted inbound connection (a remote shard's link, or a client).
-  struct Connection {
-    int fd = -1;
-    uint64_t conn_id = 0;
-    FrameAssembler assembler;
-    std::vector<uint8_t> out;
-    size_t out_offset = 0;
+  struct Connection : ByteStream {
     /// Shard announced by the hello frame; shard_count() = unknown
     /// (e.g. a query client).
     uint32_t remote_shard = 0;
@@ -383,17 +380,41 @@ class SocketTransport final : public Transport {
   Status Initialize();
 
   void LoopMain();
+  /// Registers (`EPOLL_CTL_ADD`) or re-arms (`EPOLL_CTL_MOD`) `fd` for
+  /// `events` under the epoll tag `tag`.
+  void Watch(int op, int fd, uint64_t tag, uint32_t events);
   void WakeLoop();
   bool BarrierSatisfied() const;
+  /// Waits up to `timeout_ms` (on `barrier_cv_`) for `done()`; returns
+  /// whether it held, or `loop_error()` once the event loop has failed.
+  template <typename Done>
+  Result<bool> AwaitLoop(int timeout_ms, Done done);
   void NotifyBarrier();
   void FailLoop(Status status);
 
   // Event-loop internals (definitions in the .cc).
   void LoopStartDials();
   void LoopCheckRetransmitTimers();
+  /// Stops watching and closes `stream`'s socket and discards the bytes
+  /// buffered either way; a no-op on a closed stream's socket.
+  void LoopCloseStream(ByteStream& stream);
+  /// `LoopCloseStream` plus the link's connection state: not dialing, no
+  /// handshake outstanding, no injected kill pending, not connected.
+  void LoopDisconnectLink(Link& link);
   void LoopPurgeAbandoned(Link& link);
   void LoopScheduleReconnect(Link& link, const char* reason);
+  /// Reads everything the socket holds into `stream.assembler`; false when
+  /// the peer closed the connection or it failed.
+  bool LoopReadStream(ByteStream& stream);
+  /// Writes as much of `stream.out` as the socket takes, clearing it once
+  /// sent, and re-arms EPOLLOUT while bytes remain; false when the socket
+  /// failed (`errno` says why).
+  bool LoopFlushStream(ByteStream& stream);
   void LoopFlushLink(Link& link);
+  /// Restarts the link's no-ack-progress timer (`retransmit_timeout_ms`).
+  void LoopArmProgressDeadline(Link& link);
+  /// Encodes an unsequenced frame (hello, ack) onto `stream.out`.
+  void LoopAppendSessionFrame(ByteStream& stream, const Frame& frame);
   void LoopPullRingIntoOut(Link& link);
   void LoopHandleListen();
   void LoopHandleLinkEvent(Link& link, uint32_t events);
@@ -404,9 +425,8 @@ class SocketTransport final : public Transport {
   /// violation (gap), close the connection and let the peer retransmit.
   bool LoopDispatchSequenced(Connection& connection, Frame frame,
                              uint64_t seq);
-  void LoopDeliverData(DataFrame data, uint32_t remote_shard);
+  void LoopDeliverData(Envelope data, uint32_t remote_shard);
   void LoopStageAck(Connection& connection);
-  void LoopFlushConnection(Connection& connection, bool* close_connection);
   void LoopDrainControlOutbox();
 
   void StageFrameOnLink(uint32_t shard, const Frame& frame, bool is_data);
@@ -430,15 +450,15 @@ class SocketTransport final : public Transport {
   std::vector<uint64_t> rx_next_expected_;
   std::vector<uint64_t> rx_acked_;
 
-  std::vector<Inbox> inboxes_;
+  Mailboxes inboxes_;
   std::unique_ptr<std::atomic<uint64_t>[]> send_seq_;
 
   // Barrier accounting: self-addressed data frames staged vs re-received
-  // through the self connection, plus undrained inbox entries. Unacked
-  // outbound data frames additionally hold `HasPendingMessages` true.
+  // through the self connection. Undrained inbox entries (the mail bits)
+  // and unacked outbound data frames additionally hold
+  // `HasPendingMessages` true.
   std::atomic<uint64_t> loopback_sent_{0};
   std::atomic<uint64_t> loopback_received_{0};
-  std::atomic<uint64_t> inbox_count_{0};
   std::atomic<uint64_t> outstanding_data_{0};
   /// Every staged-and-unacked frame on a live link (control included, self
   /// link included). The destructor lingers until this drains so frames

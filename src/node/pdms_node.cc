@@ -556,11 +556,9 @@ void PdmsNode::CaptureCut(uint64_t round, uint64_t quiet,
   // round and sends it again.
   const uint64_t cut_horizon = cut.tick + 1;
   const size_t captured = cut.inbox.size();
-  cut.inbox.erase(std::remove_if(cut.inbox.begin(), cut.inbox.end(),
-                                 [cut_horizon](const CapturedFrame& frame) {
-                                   return frame.envelope.deliver_at > cut_horizon;
-                                 }),
-                  cut.inbox.end());
+  std::erase_if(cut.inbox, [cut_horizon](const Envelope& frame) {
+    return frame.deliver_at > cut_horizon;
+  });
   if (Logger::Get().Enabled(LogLevel::kDebug)) {
     PDMS_LOG_DEBUG << "cut " << round << ": tick " << cut.tick << ", inbox "
                    << cut.inbox.size() << " (" << (captured - cut.inbox.size())

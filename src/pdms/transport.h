@@ -72,15 +72,80 @@ struct AtomicTransportStats {
   void Reset();
 };
 
-/// One in-flight message captured from a transport inbox at a quiesced
-/// barrier: the routed envelope plus the per-sender sequence number the
-/// deterministic drain order sorts on. The unit `SocketTransport`'s
-/// inbox capture/restore moves and the snapshot layer (src/store)
-/// persists — restoring the captured frames alongside the engine image
-/// reproduces the exact delivery schedule of the original run.
-struct CapturedFrame {
-  uint64_t seq = 0;
-  Envelope envelope;
+/// Internal: the per-peer mailboxes both library transports queue into.
+///
+/// Invariant: every mailbox is kept in the order it drains, and that order
+/// has non-decreasing `deliver_at`, so the envelopes due at a tick are
+/// always a prefix. A drain moves that prefix out, or, when the whole queue
+/// is due (every round of a one-tick schedule), swaps the queue with the
+/// caller's buffer and keeps the caller's old buffer as the mailbox's
+/// capacity. Draining an empty mailbox touches no counter.
+///
+/// Each mailbox is a vector behind its own mutex, so concurrent enqueues
+/// for different peers never contend and drains of distinct peers proceed
+/// independently. One bit per peer, in atomic 64-bit words, is set while
+/// that peer's mailbox is non-empty: an enqueue sets it on the empty ->
+/// non-empty transition and a drain that empties the queue clears it, both
+/// under the mailbox's lock. `NextWithMail` finds the next set bit, so a
+/// driver's scan costs the mailboxes holding mail, not the network size.
+class Mailboxes {
+ public:
+  explicit Mailboxes(size_t peer_count)
+      : boxes_(peer_count), mail_bits_((peer_count + 63) / 64) {}
+
+  size_t size() const { return boxes_.size(); }
+
+  /// Appends `envelope` to `envelope.to`'s mailbox. The caller guarantees
+  /// that its `deliver_at` is no smaller than any queued there, so send
+  /// order is drain order (`SimTransport`: the tick only moves between
+  /// phases and the delay is constant).
+  void Append(Envelope envelope) {
+    const PeerId to = envelope.to;
+    std::lock_guard<std::mutex> lock(boxes_[to].mutex);
+    std::vector<Envelope>& queue = boxes_[to].queue;
+    if (queue.empty()) SetMailBit(to);
+    queue.push_back(std::move(envelope));
+  }
+
+  /// Inserts `envelope` at its (deliver_at, from, seq) place in
+  /// `envelope.to`'s mailbox, scanning back from the tail (`SocketTransport`:
+  /// frames arrive nearly in that order).
+  void Insert(Envelope envelope);
+
+  /// Replaces `*out` with the envelopes of `peer` due at tick `now`, in
+  /// drain order, and counts them as delivered in `counters`.
+  void DrainInto(PeerId peer, uint64_t now, std::vector<Envelope>* out,
+                 AtomicTransportStats& counters);
+
+  /// The smallest peer >= `from` whose mailbox is non-empty, else `size()`.
+  PeerId NextWithMail(PeerId from) const;
+
+  /// Copies every queued envelope, in peer order and then drain order.
+  std::vector<Envelope> Capture();
+
+  /// Replaces every mailbox's contents with `envelopes`, given in any
+  /// order; each lands at its (deliver_at, from, seq) place.
+  void Replace(std::vector<Envelope> envelopes);
+
+ private:
+  struct Mailbox {
+    std::mutex mutex;
+    std::vector<Envelope> queue;
+  };
+
+  /// Must hold `boxes_[peer].mutex`.
+  void SetMailBit(PeerId peer) {
+    mail_bits_[peer / 64].fetch_or(uint64_t{1} << (peer % 64),
+                                   std::memory_order_release);
+  }
+  void ClearMailBit(PeerId peer) {
+    mail_bits_[peer / 64].fetch_and(~(uint64_t{1} << (peer % 64)),
+                                    std::memory_order_release);
+  }
+
+  std::vector<Mailbox> boxes_;
+  /// Bit p set iff mailbox p is non-empty (maintained under its lock).
+  std::vector<std::atomic<uint64_t>> mail_bits_;
 };
 
 /// How messages move between peers — the provider side of the public API.
@@ -171,29 +236,15 @@ struct NetworkOptions {
 /// reference implementation for the Transport conformance contract; loss
 /// comes only from wrapping it in a `FaultInjectingTransport`.
 ///
-/// Mailboxes are sharded per destination peer, each a vector behind its
-/// own mutex, so concurrent sends to different peers never contend and
-/// concurrent drains of distinct peers proceed independently. Envelopes
-/// are stamped with non-decreasing delivery ticks (the tick only moves
-/// between phases and the delay is constant), so each queue is ordered by
-/// `deliver_at` and the due envelopes are always a prefix. When the whole
-/// queue is due — every round of a one-tick schedule — a drain swaps the
-/// queue with the caller's buffer instead of moving envelopes one by one,
-/// and `DrainInto` leaves the caller's old buffer behind as the next
-/// round's capacity. Draining an empty mailbox touches no counter.
-///
-/// One bit per peer, in atomic 64-bit words, is set while that peer's
-/// mailbox is non-empty: `Send` sets it on the empty -> non-empty
-/// transition and a drain that empties the queue clears it, both under the
-/// mailbox's lock. `NextPeerWithMail` finds the next set bit, so a query
-/// tick costs the mailboxes holding mail, not the network size, and
-/// `HasPendingMessages` is "any bit set" — no per-message counter.
+/// Envelopes are stamped with non-decreasing delivery ticks (the tick only
+/// moves between phases and the delay is constant), so appending keeps
+/// each `Mailboxes` queue in drain order, which is send order. A drain
+/// costs the due prefix, `NextPeerWithMail` the mailboxes holding mail,
+/// and `HasPendingMessages` is "any mail bit set" — no per-message counter.
 class SimTransport final : public Transport {
  public:
   SimTransport(size_t peer_count, const NetworkOptions& options)
-      : delay_ticks_(options.delay_ticks),
-        mailboxes_(peer_count),
-        mail_bits_((peer_count + 63) / 64) {}
+      : delay_ticks_(options.delay_ticks), mailboxes_(peer_count) {}
 
   /// "instant" at delay 0, "sim" otherwise.
   std::string_view name() const override {
@@ -230,16 +281,9 @@ class SimTransport final : public Transport {
   void ResetStats() override;
 
  private:
-  struct Mailbox {
-    std::mutex mutex;
-    std::vector<Envelope> queue;
-  };
-
   const uint64_t delay_ticks_;
   std::atomic<uint64_t> now_{0};
-  std::vector<Mailbox> mailboxes_;
-  /// Bit p set iff mailbox p is non-empty (maintained under its lock).
-  std::vector<std::atomic<uint64_t>> mail_bits_;
+  Mailboxes mailboxes_;
   AtomicTransportStats counters_;
   mutable TransportStats stats_snapshot_;
 };

@@ -234,13 +234,13 @@ void Fields(IO& io, RecordOf<ProbeCacheEntry> auto& entry) {
 }
 
 template <typename IO>
-void Fields(IO& io, RecordOf<CapturedFrame> auto& frame) {
+void Fields(IO& io, RecordOf<Envelope> auto& frame) {
   io.Fixed64(frame.seq);
-  io.Fixed32(frame.envelope.from);
-  io.Fixed32(frame.envelope.to);
-  io.Nullable32(frame.envelope.via);
-  io.Fixed64(frame.envelope.deliver_at);
-  Fields(io, frame.envelope.payload);
+  io.Fixed32(frame.from);
+  io.Fixed32(frame.to);
+  io.Nullable32(frame.via);
+  io.Fixed64(frame.deliver_at);
+  Fields(io, frame.payload);
 }
 
 /// The offsets `RestoreImage` moves in and the next `ComputeRound` indexes

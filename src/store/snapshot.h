@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/pdms_engine.h"
-#include "pdms/transport.h"
+#include "net/message.h"
 #include "util/status.h"
 
 namespace pdms {
@@ -76,10 +76,10 @@ struct NodeSnapshot {
   uint64_t report_updates = 0;
   /// Full inference state of every local peer plus topology liveness.
   PdmsEngine::EngineImage engine;
-  /// In-flight round traffic captured from the transport inboxes,
-  /// with per-sender sequence numbers so the deterministic
+  /// In-flight round traffic captured from the transport inboxes, in
+  /// drain order, with per-sender sequence numbers so the deterministic
   /// `(deliver_at, from, seq)` drain order survives the restart.
-  std::vector<CapturedFrame> inbox;
+  std::vector<Envelope> inbox;
 };
 
 /// Serializes `snapshot` into the on-disk byte layout (header + CRC'd

@@ -340,6 +340,13 @@ INSTANTIATE_TEST_SUITE_P(
                                options.delay_ticks = 3;
                                return std::make_unique<SimTransport>(peers,
                                                                      options);
+                             }},
+        TransportFactoryCase{"socket",
+                             [](size_t peers) -> std::unique_ptr<Transport> {
+                               auto transport =
+                                   SocketTransport::CreateLoopback(peers);
+                               EXPECT_NE(transport, nullptr);
+                               return transport;
                              }}),
     [](const ::testing::TestParamInfo<TransportFactoryCase>& info) {
       return std::string(info.param.label);

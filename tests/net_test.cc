@@ -941,6 +941,31 @@ void PatchCrc(std::vector<uint8_t>* bytes) {
   }
 }
 
+TEST(FrameCodecTest, Crc32MatchesTheBitwiseDefinitionAtEveryLengthAndOffset) {
+  // The standard CRC-32 check value, then every start offset and length
+  // around the eight-byte stride against the bit-at-a-time definition.
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32(check), 0xcbf43926u);
+  std::vector<uint8_t> data(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; offset + length <= data.size(); ++length) {
+      uint32_t crc = 0xffffffffu;
+      for (size_t i = offset; i < offset + length; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit) {
+          crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
+        }
+      }
+      EXPECT_EQ(Crc32(std::span<const uint8_t>(data).subspan(offset, length)),
+                crc ^ 0xffffffffu)
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
 TEST(FrameCodecTest, RejectsOversizedAndUndersizedLengthPrefixes) {
   FrameAssembler oversized;
   const std::vector<uint8_t> huge = {0xff, 0xff, 0xff, 0xff,

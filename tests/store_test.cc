@@ -4,11 +4,14 @@
 // SnapshotStore with its fallback-to-older-slot behavior, and the
 // deployment state-epoch fingerprint.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 
 #include "graph/topology.h"
 #include "mapping/mapping_generator.h"
+#include "net/codec.h"
+#include "net/socket_transport.h"
 #include "pdms/pdms.h"
 #include "store/snapshot.h"
 #include "util/rng.h"
@@ -74,26 +79,26 @@ NodeSnapshot MakeSnapshot(Pdms& pdms) {
   snapshot.report_updates = 991;
   snapshot.engine = pdms.engine().CaptureImage();
 
-  CapturedFrame probe;
+  Envelope probe;
   probe.seq = 12;
-  probe.envelope.from = 1;
-  probe.envelope.to = 2;
-  probe.envelope.via = EdgeId{1};
-  probe.envelope.deliver_at = 42;
+  probe.from = 1;
+  probe.to = 2;
+  probe.via = EdgeId{1};
+  probe.deliver_at = 42;
   ProbeMessage message;
   message.origin = 1;
   message.ttl = 3;
   message.route = {1, 2};
   message.width = 2;
   message.trail = {AttributeId{0}, std::nullopt, std::nullopt, AttributeId{4}};
-  probe.envelope.payload = message;
+  probe.payload = message;
   snapshot.inbox.push_back(probe);
 
-  CapturedFrame feedback;
+  Envelope feedback;
   feedback.seq = 13;
-  feedback.envelope.from = 3;
-  feedback.envelope.to = 0;
-  feedback.envelope.deliver_at = 42;
+  feedback.from = 3;
+  feedback.to = 0;
+  feedback.deliver_at = 42;
   FeedbackAnnouncement announcement;
   announcement.closure.kind = Closure::Kind::kCycle;
   announcement.closure.edges = {0, 1, 2, 3};
@@ -104,7 +109,7 @@ NodeSnapshot MakeSnapshot(Pdms& pdms) {
   announcement.feedback = {{0,
                             FeedbackSign::kPositive,
                             {{0, 0}, {1, 0}, {2, 0}, {3, 0}}}};
-  feedback.envelope.payload = announcement;
+  feedback.payload = announcement;
   snapshot.inbox.push_back(feedback);
   return snapshot;
 }
@@ -275,6 +280,71 @@ TEST(SnapshotCodecTest, CurrentFormatImageIsPinned) {
 
   Pdms pdms = MakeIntroPdms();
   EXPECT_EQ(EncodeSnapshot(MakeSnapshot(pdms)), frozen);
+}
+
+TEST(SnapshotCodecTest, SocketInboxCaptureIsIndependentOfArrivalOrder) {
+  // Frames reach a socket inbox in whatever order the event loop reads
+  // them. The same in-flight set, restored in two different orders into
+  // two loopback transports, must capture to the same sequence (recipient,
+  // then the (deliver_at, from, seq) drain order) and so encode to the
+  // same checkpoint bytes.
+  std::vector<Envelope> frames;
+  for (const PeerId to : {PeerId{2}, PeerId{0}}) {
+    for (const uint64_t deliver_at : {uint64_t{6}, uint64_t{5}}) {
+      for (const PeerId from : {PeerId{3}, PeerId{1}}) {
+        for (const uint64_t seq : {uint64_t{9}, uint64_t{4}}) {
+          Envelope frame;
+          frame.from = from;
+          frame.to = to;
+          frame.via = EdgeId{from};
+          frame.deliver_at = deliver_at;
+          frame.seq = seq;
+          ProbeMessage probe;
+          probe.origin = from;
+          probe.ttl = static_cast<uint32_t>(frames.size());
+          frame.payload = probe;
+          frames.push_back(std::move(frame));
+        }
+      }
+    }
+  }
+  std::vector<Envelope> shuffled = frames;
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::rotate(shuffled.begin(), shuffled.begin() + 5, shuffled.end());
+
+  std::vector<std::vector<Envelope>> captures;
+  for (std::vector<Envelope>* order : {&frames, &shuffled}) {
+    std::unique_ptr<SocketTransport> transport =
+        SocketTransport::CreateLoopback(4);
+    ASSERT_NE(transport, nullptr);
+    ASSERT_TRUE(transport->RestoreInboxes(*order).ok());
+    captures.push_back(transport->CaptureInboxes());
+  }
+  const std::vector<Envelope>& a = captures[0];
+  const std::vector<Envelope>& b = captures[1];
+  ASSERT_EQ(a.size(), frames.size());
+  ASSERT_EQ(b.size(), frames.size());
+  const auto key = [](const Envelope& e) {
+    return std::tuple(e.to, e.deliver_at, e.from, e.seq);
+  };
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(key(a[i]), key(b[i])) << "frame " << i;
+    EXPECT_EQ(a[i].via, b[i].via) << "frame " << i;
+    std::vector<uint8_t> a_payload;
+    std::vector<uint8_t> b_payload;
+    EncodePayload(a[i].payload, &a_payload);
+    EncodePayload(b[i].payload, &b_payload);
+    EXPECT_EQ(a_payload, b_payload) << "frame " << i;
+    if (i > 0) {
+      EXPECT_LT(key(a[i - 1]), key(a[i])) << "frame " << i;
+    }
+  }
+
+  NodeSnapshot first;
+  first.inbox = a;
+  NodeSnapshot second;
+  second.inbox = b;
+  EXPECT_EQ(EncodeSnapshot(first), EncodeSnapshot(second));
 }
 
 // --- SnapshotStore -----------------------------------------------------------
