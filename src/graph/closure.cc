@@ -1,6 +1,5 @@
 #include "graph/closure.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -176,93 +175,6 @@ std::vector<Closure> FindParallelPaths(const Digraph& graph,
         }
       }
     }
-  }
-  return closures;
-}
-
-std::vector<Closure> FindUndirectedCycles(const Digraph& graph,
-                                          const ClosureFinderOptions& options) {
-  std::vector<Closure> closures;
-  std::set<std::vector<EdgeId>> seen;  // canonical = sorted edge ids
-
-  // Undirected incidence: every live edge is traversable from both ends.
-  std::vector<std::vector<EdgeId>> incident(graph.node_count());
-  for (EdgeId id : graph.LiveEdges()) {
-    incident[graph.edge(id).src].push_back(id);
-    incident[graph.edge(id).dst].push_back(id);
-  }
-  auto other_end = [&graph](EdgeId eid, NodeId from) {
-    const Edge& e = graph.edge(eid);
-    return e.src == from ? e.dst : e.src;
-  };
-
-  std::vector<bool> on_path(graph.node_count(), false);
-  std::vector<bool> edge_used(graph.edge_capacity(), false);
-  std::vector<EdgeId> path;
-
-  // Recursive lambda via explicit function object.
-  struct Search {
-    const Digraph& graph;
-    const ClosureFinderOptions& options;
-    const std::vector<std::vector<EdgeId>>& incident;
-    decltype(other_end)& other;
-    std::vector<bool>& on_path;
-    std::vector<bool>& edge_used;
-    std::vector<EdgeId>& path;
-    std::set<std::vector<EdgeId>>& seen;
-    std::vector<Closure>& out;
-    NodeId root = 0;
-
-    void Dfs(NodeId node) {
-      if (out.size() >= options.max_closures) return;
-      for (EdgeId eid : incident[node]) {
-        if (edge_used[eid]) continue;
-        const NodeId next = other(eid, node);
-        if (next == root) {
-          const size_t length = path.size() + 1;
-          // An undirected "cycle" of length 2 would reuse logical structure
-          // only when two distinct edges join the same node pair; length
-          // bounds filter the rest.
-          if (length >= std::max<size_t>(2, options.min_cycle_length) &&
-              length <= options.max_cycle_length) {
-            path.push_back(eid);
-            std::vector<EdgeId> canonical = path;
-            std::sort(canonical.begin(), canonical.end());
-            if (seen.insert(canonical).second) {
-              Closure closure;
-              closure.kind = Closure::Kind::kCycle;
-              closure.edges = path;
-              closure.split = path.size();
-              closure.source = root;
-              closure.sink = root;
-              out.push_back(std::move(closure));
-            }
-            path.pop_back();
-          }
-          continue;
-        }
-        if (next < root || on_path[next]) continue;
-        if (path.size() + 1 >= options.max_cycle_length) continue;
-        on_path[next] = true;
-        edge_used[eid] = true;
-        path.push_back(eid);
-        Dfs(next);
-        path.pop_back();
-        edge_used[eid] = false;
-        on_path[next] = false;
-      }
-    }
-  };
-
-  Search search{graph, options, incident, other_end,
-                on_path, edge_used, path,  seen,
-                closures};
-  for (NodeId root = 0; root < graph.node_count(); ++root) {
-    if (closures.size() >= options.max_closures) break;
-    search.root = root;
-    on_path[root] = true;
-    search.Dfs(root);
-    on_path[root] = false;
   }
   return closures;
 }

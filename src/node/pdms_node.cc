@@ -432,16 +432,17 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
   // Resuming from a restored or rolled-back cut: engine, inboxes and the
   // transport clock were already applied; pick up the loop scalars and
   // skip the barrier the cut already crossed.
-  bool skip_barrier = false;
-  if (resume_.has_value()) {
+  const auto take_resume = [&] {
+    if (!resume_.has_value()) return false;
     round = resume_->round;
     quiet = static_cast<size_t>(resume_->quiet);
     previous_change = resume_->previous_change;
     report.rounds = round;
     report.belief_updates_sent = resume_->report_updates;
     resume_.reset();
-    skip_barrier = true;
-  }
+    return true;
+  };
+  bool skip_barrier = take_resume();
   RebuildSnapshot();
   for (;;) {
     if (!skip_barrier) {
@@ -467,15 +468,7 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
             PDMS_LOG_WARNING << "rejoin of shard " << rejoin->shard
                              << " not served: " << served.message();
           }
-          if (resume_.has_value()) {
-            round = resume_->round;
-            quiet = static_cast<size_t>(resume_->quiet);
-            previous_change = resume_->previous_change;
-            report.rounds = round;
-            report.belief_updates_sent = resume_->report_updates;
-            resume_.reset();
-            skip_barrier = true;
-          }
+          skip_barrier = take_resume();
         }
         // Either restart from the rolled-back cut or retry this barrier
         // (the re-broadcast mark is a duplicate peers reject harmlessly).

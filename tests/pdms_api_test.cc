@@ -2,8 +2,11 @@
 // Transport conformance contract shared by SimTransport (at delay 1 and
 // delay 0) and SocketTransport, transport-equivalence of inference
 // results and of query reports, query dedup, the session observer hook,
-// the steady-state wire gate, and the Result<T> utilities it leans on.
+// the steady-state wire pins, the fault and adversary sweeps, and the
+// Result<T> utilities it leans on.
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -1080,39 +1083,89 @@ class RecordingTransport final : public Transport {
   std::vector<Payload> sent_;
 };
 
-// Steady-state wire gate on the scale bench's smoke shapes (1k-peer
-// symmetrized BA and ER networks, length-2 cycles): after the 3-step
-// alias negotiation no belief group may carry a fingerprint, and the
-// bytes the transport accounts must be exactly the encoded bytes of what
-// it was handed.
+// --- The scale smoke workload ---------------------------------------------------
+
+constexpr size_t kSmokeAttrs = 6;
+
+/// A symmetrized Barabási–Albert ("ba") or Erdős–Rényi ("er") network of
+/// `peers` peers, 6 attributes and 20% wrong correspondences, with engine
+/// options that make length-2 cycles (a mapping and its inverse) the
+/// evidence unit: probe two hops, accept 2-cycles, skip parallel paths.
+struct SmokeWorkload {
+  SyntheticPdms synthetic;
+  EngineOptions options;
+};
+
+SmokeWorkload MakeSmokeWorkload(const std::string& topology, size_t peers) {
+  Rng rng(2026 + peers);
+  Digraph graph = topology == "ba"
+                      ? topology::BarabasiAlbert(peers, 2, &rng)
+                      : topology::ErdosRenyi(peers, 2.0 / peers, &rng);
+  topology::Symmetrize(&graph);
+  MappingNetworkOptions network_options;
+  network_options.attributes_per_schema = kSmokeAttrs;
+  network_options.error_rate = 0.2;
+  SmokeWorkload workload{BuildSyntheticPdms(graph, network_options, &rng),
+                         EngineOptions{}};
+  workload.options.probe_ttl = 2;
+  workload.options.closure_limits.min_cycle_length = 2;
+  workload.options.closure_limits.max_cycle_length = 2;
+  workload.options.closure_limits.max_path_length = 1;
+  return workload;
+}
+
+/// Every (live edge, attribute) posterior of a smoke workload, in edge
+/// order.
+std::vector<double> AllPosteriors(const Pdms& pdms) {
+  std::vector<double> posteriors;
+  for (EdgeId e : pdms.graph().LiveEdges()) {
+    for (AttributeId a = 0; a < kSmokeAttrs; ++a) {
+      posteriors.push_back(pdms.Posterior(e, a));
+    }
+  }
+  return posteriors;
+}
+
+// Steady-state wire gate on the 1k-peer smoke shapes. After the 3-step
+// alias negotiation no belief group may carry a fingerprint, the bytes the
+// transport accounts must be exactly the encoded bytes of what it was
+// handed, and the total and µ-value bytes per round are pinned: the wire
+// format is deterministic, so any drift is a format change. Quantized
+// values must cut the bytes at least 4x. The parallelism-2 runs force the
+// pool (`min_peers_per_lane` 1) and must match serial bit for bit.
 TEST(WireLedgerTest, SteadyStateRoundsSendNoFingerprints) {
-  constexpr size_t kPeers = 1000;
-  for (const std::string topology : {"ba", "er"}) {
-    Rng rng(2026 + kPeers);
-    Digraph graph = topology == "ba"
-                        ? topology::BarabasiAlbert(kPeers, 2, &rng)
-                        : topology::ErdosRenyi(kPeers, 2.0 / kPeers, &rng);
-    topology::Symmetrize(&graph);
-    MappingNetworkOptions network_options;
-    network_options.attributes_per_schema = 6;
-    network_options.error_rate = 0.2;
-    const SyntheticPdms synthetic =
-        BuildSyntheticPdms(graph, network_options, &rng);
-    for (const double budget : {0.0, 1e-3}) {
+  struct Shape {
+    double budget;
+    uint64_t bytes_per_round;
+    uint64_t value_bytes_per_round;
+  };
+  struct Network {
+    const char* topology;
+    size_t factors;
+    Shape exact;
+    Shape quantized;
+  };
+  constexpr Network kNetworks[] = {
+      {"ba", 11982, {0.0, 471292, 383424}, {1e-3, 117437, 29569}},
+      {"er", 11694, {0.0, 459964, 374208}, {1e-3, 114540, 28784}},
+  };
+  constexpr uint64_t kMeasuredRounds = 3;
+  for (const Network& network : kNetworks) {
+    const SmokeWorkload workload = MakeSmokeWorkload(network.topology, 1000);
+    uint64_t exact_bytes_sent = 0;
+    for (const Shape& shape : {network.exact, network.quantized}) {
+      std::vector<double> serial;
       for (const size_t parallelism : {1, 2}) {
-        SCOPED_TRACE(StrFormat("%s eps=%g p=%zu", topology.c_str(), budget,
-                               parallelism));
-        EngineOptions options;
-        options.probe_ttl = 2;
-        options.closure_limits.min_cycle_length = 2;
-        options.closure_limits.max_cycle_length = 2;
-        options.closure_limits.max_path_length = 1;
+        SCOPED_TRACE(StrFormat("%s eps=%g p=%zu", network.topology,
+                               shape.budget, parallelism));
+        EngineOptions options = workload.options;
         options.parallelism = parallelism;
+        options.min_peers_per_lane = 1;
         RecordingTransport* recorder = nullptr;
         Pdms pdms =
-            PdmsBuilder::FromSynthetic(synthetic)
+            PdmsBuilder::FromSynthetic(workload.synthetic)
                 .WithOptions(options)
-                .WithValueErrorBudget(budget)
+                .WithValueErrorBudget(shape.budget)
                 .WithTransport([&recorder](size_t peers,
                                            const EngineOptions& engine) {
                   auto transport = std::make_unique<RecordingTransport>(
@@ -1122,11 +1175,11 @@ TEST(WireLedgerTest, SteadyStateRoundsSendNoFingerprints) {
                 })
                 .Build()
                 .value();
-        ASSERT_GT(pdms.session().Discover(), 0u);
+        EXPECT_EQ(pdms.session().Discover(), network.factors);
         for (int warm = 0; warm < 3; ++warm) pdms.session().Step();
         pdms.transport().ResetStats();
         recorder->TakeSent();
-        for (int measured = 0; measured < 3; ++measured) pdms.session().Step();
+        for (uint64_t r = 0; r < kMeasuredRounds; ++r) pdms.session().Step();
 
         size_t groups = 0;
         size_t fingerprints = 0;
@@ -1143,10 +1196,162 @@ TEST(WireLedgerTest, SteadyStateRoundsSendNoFingerprints) {
             }
           }
         }
+        const TransportStats& stats = pdms.transport().stats();
         EXPECT_GT(groups, 0u);
         EXPECT_EQ(fingerprints, 0u);
-        EXPECT_EQ(encoded_bytes, pdms.transport().stats().bytes_sent);
+        EXPECT_EQ(encoded_bytes, stats.bytes_sent);
+        EXPECT_EQ(stats.bytes_sent, shape.bytes_per_round * kMeasuredRounds);
+        EXPECT_EQ(stats.value_bytes_sent,
+                  shape.value_bytes_per_round * kMeasuredRounds);
+        if (shape.budget == 0.0) {
+          exact_bytes_sent = stats.bytes_sent;
+        } else {
+          EXPECT_LE(4 * stats.bytes_sent, exact_bytes_sent);
+        }
+
+        std::vector<double> posteriors = AllPosteriors(pdms);
+        if (parallelism == 1) {
+          serial = std::move(posteriors);
+          continue;
+        }
+        ASSERT_EQ(posteriors.size(), serial.size());
+        for (size_t i = 0; i < serial.size(); ++i) {
+          ASSERT_EQ(posteriors[i], serial[i]) << "posterior " << i;
+        }
       }
+    }
+  }
+}
+
+// Fault floor: the smoke's drop × duplicate × reorder sweep over a 200-peer
+// BA network, faults armed after discovery so every belief round runs
+// under fire. Every mix must converge within 400 rounds, and a run that
+// reports `converged` must sit within 0.05 of the fault-free posteriors
+// (otherwise convergence was declared before the fixpoint was reached).
+TEST(FaultSweepTest, EveryMixConvergesToTheFaultFreeFixpoint) {
+  const SmokeWorkload workload = MakeSmokeWorkload("ba", 200);
+  std::vector<double> clean;
+  uint64_t index = 0;
+  for (const double drop : {0.0, 0.3}) {
+    for (const double duplicate : {0.0, 0.3}) {
+      for (const double reorder : {0.0, 0.3}) {
+        SCOPED_TRACE(StrFormat("drop %.1f dup %.1f reorder %.1f", drop,
+                               duplicate, reorder));
+        FaultPlan plan;
+        plan.seed = 2026 * 1000 + index++;
+        plan.drop_rate = drop;
+        plan.duplicate_rate = duplicate;
+        plan.reorder_rate = reorder;
+        FaultInjectingTransport* faults = nullptr;
+        Pdms pdms =
+            PdmsBuilder::FromSynthetic(workload.synthetic)
+                .WithOptions(workload.options)
+                .WithTransport([&faults](size_t peers,
+                                         const EngineOptions& engine) {
+                  auto transport = std::make_unique<FaultInjectingTransport>(
+                      std::make_unique<SimTransport>(peers, engine.network),
+                      FaultPlan{});
+                  faults = transport.get();
+                  return transport;
+                })
+                .Build()
+                .value();
+        ASSERT_GT(pdms.session().Discover(), 0u);
+        faults->set_plan(plan);
+        EXPECT_TRUE(pdms.session().Converge(400).converged);
+
+        const FaultStats stats = faults->fault_stats();
+        EXPECT_EQ(stats.dropped > 0, drop > 0.0);
+        EXPECT_EQ(stats.duplicated > 0, duplicate > 0.0);
+        EXPECT_EQ(stats.reordered > 0, reorder > 0.0);
+        const std::vector<double> posteriors = AllPosteriors(pdms);
+        if (!plan.Enabled()) {
+          clean = posteriors;
+          continue;
+        }
+        ASSERT_EQ(posteriors.size(), clean.size());
+        for (size_t i = 0; i < clean.size(); ++i) {
+          ASSERT_LE(std::abs(posteriors[i] - clean[i]), 0.05)
+              << "posterior " << i;
+        }
+      }
+    }
+  }
+}
+
+// Adversary gates: the guarded 200-peer BA network with 0, 1, 5 and 10% of
+// its peers lying per a seeded plan. The guard must demote at least 95% of
+// the links that honest peers hold to liars, keep honest-to-honest
+// posteriors within 0.25 of the adversary-free run, and, in that clean
+// run, demote under 1% of honest links and reject no belief.
+TEST(AdversarySweepTest, GuardDemotesLyingLinksAndSparesHonestOnes) {
+  constexpr size_t kPeers = 200;
+  const SmokeWorkload workload = MakeSmokeWorkload("ba", kPeers);
+  std::vector<double> clean;
+  uint64_t index = 0;
+  for (const double fraction : {0.0, 0.01, 0.05, 0.10}) {
+    SCOPED_TRACE(StrFormat("byzantine fraction %.2f", fraction));
+    ByzantinePlan plan;
+    if (fraction > 0.0) {
+      plan.seed = 2026 * 77 + index++;
+      plan.lie_probability = 0.5;
+      plan.invert_values = true;
+      plan.equivocate_rate = 0.2;
+      // Every k-th peer, spread across the id space.
+      const auto count = static_cast<size_t>(kPeers * fraction);
+      for (size_t i = 0; i < count; ++i) {
+        plan.adversaries.push_back(static_cast<PeerId>(i * kPeers / count));
+      }
+    }
+    ByzantineGuardOptions guard;
+    guard.enabled = true;
+    Pdms pdms = PdmsBuilder::FromSynthetic(workload.synthetic)
+                    .WithOptions(workload.options)
+                    .WithByzantineGuard(guard)
+                    .WithByzantinePlan(plan)
+                    .Build()
+                    .value();
+    ASSERT_GT(pdms.session().Discover(), 0u);
+    pdms.session().Converge(80);
+
+    const auto is_adversary = [&plan](PeerId peer) {
+      return std::binary_search(plan.adversaries.begin(),
+                                plan.adversaries.end(), peer);
+    };
+    size_t lying_links = 0;
+    size_t demoted_lying = 0;
+    size_t honest_links = 0;
+    size_t demoted_honest = 0;
+    for (PeerId p = 0; p < kPeers; ++p) {
+      if (is_adversary(p)) continue;
+      for (const Peer::GuardLinkView& view : pdms.peer(p).GuardViews()) {
+        const bool demoted = view.state.demote_level >= 1;
+        if (is_adversary(view.peer)) {
+          ++lying_links;
+          demoted_lying += demoted ? 1 : 0;
+        } else {
+          ++honest_links;
+          demoted_honest += demoted ? 1 : 0;
+        }
+      }
+    }
+    ASSERT_GT(honest_links, 0u);
+    const std::vector<double> posteriors = AllPosteriors(pdms);
+    if (fraction == 0.0) {
+      EXPECT_LT(demoted_honest * 100, honest_links);
+      EXPECT_EQ(pdms.engine().GuardRejectedBeliefs(), 0u);
+      clean = posteriors;
+      continue;
+    }
+    ASSERT_GT(lying_links, 0u);
+    EXPECT_GE(demoted_lying * 100, lying_links * 95)
+        << demoted_lying << "/" << lying_links << " lying links demoted";
+    // Honest subnetwork: mappings with both endpoints honest.
+    const std::vector<EdgeId> live = pdms.graph().LiveEdges();
+    for (size_t i = 0; i < posteriors.size(); ++i) {
+      const Edge& edge = pdms.graph().edge(live[i / kSmokeAttrs]);
+      if (is_adversary(edge.src) || is_adversary(edge.dst)) continue;
+      ASSERT_LE(std::abs(posteriors[i] - clean[i]), 0.25) << "posterior " << i;
     }
   }
 }
